@@ -4,16 +4,18 @@
 The training path never calls an autodiff framework, so the backprop
 must be right by construction. This demo builds small random models and
 compares the analytic gradient of each loss (plain CE, calibrated CE,
-distillation KL, their sum, and a proximal penalty) with a numerical
-estimate, printing the worst relative error per loss.
+distillation KL, their sum, and FedProx's proximal penalty) with a
+numerical estimate, printing the worst relative error per loss.
+``calibrated_ce_loss`` and ``psd_kd_loss`` wrap the trainer's per-batch
+loss, and ``proximal_term`` is the trainer's own proximal pull.
 """
 import numpy as np
 
 from fedpsd import (
-    ModelParams,
     calibrated_ce_loss,
     finite_diff_check,
     init_model,
+    proximal_term,
     psd_kd_loss,
     softmax_ce,
 )
@@ -49,17 +51,9 @@ def main() -> None:
         worst["combined"] = max(worst["combined"], finite_diff_check(model, batch, combined))
 
         anchor = init_model(sizes, seed=100 + trial)
-        mu = 0.5
-
-        def proximal(m):
-            dw = [w - a for w, a in zip(m.weights, anchor.weights)]
-            db = [b - a for b, a in zip(m.biases, anchor.biases)]
-            loss = 0.5 * mu * (sum(float((d * d).sum()) for d in dw)
-                               + sum(float((d * d).sum()) for d in db))
-            return loss, ModelParams([mu * d for d in dw], [mu * d for d in db])
-
         worst["proximal"] = max(worst["proximal"], finite_diff_check(
-            model, batch, lambda lg: softmax_ce(lg, labels), param_term=proximal))
+            model, batch, lambda lg: softmax_ce(lg, labels),
+            param_term=lambda m: proximal_term(m, anchor, 0.5)))
 
     print("worst relative error over 10 random models (tolerance 1e-4):")
     for name, err in worst.items():

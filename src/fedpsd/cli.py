@@ -25,7 +25,9 @@ from .metrics import (
     CSV_HEADER,
     SWEEP_HEADER,
     MetricsSeries,
+    emit_metrics,
     format_round,
+    format_sweep,
     load_metrics,
     rounds_to_target,
 )
@@ -92,7 +94,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None, log=None) -> list[Ablation
         if log is not None:
             log(format_ablation_row(row))
         if out_dir is not None:
-            _emit_series(series, Path(out_dir) / f"{name}_metrics.csv")
+            emit_metrics(series, Path(out_dir) / f"{name}_metrics.csv")
     if out_dir is not None:
         path = Path(out_dir) / "ablation.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -100,13 +102,6 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None, log=None) -> list[Ablation
             for row in rows:
                 fh.write(format_ablation_row(row) + "\n")
     return rows
-
-
-def _emit_series(series: MetricsSeries, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for record in series.rounds:
-            fh.write(format_round(record) + "\n")
 
 
 def _cmd_run(args, stdout) -> int:
@@ -140,7 +135,7 @@ def _cmd_run(args, stdout) -> int:
             stdout.flush()
 
         def on_sweep(sweep):
-            sfh.write(f"{sweep.round},{sweep.all_client_top1:.6f}\n")
+            sfh.write(format_sweep(sweep) + "\n")
             sfh.flush()
 
         series = run_experiment(cfg, round_callback=on_round, sweep_callback=on_sweep)

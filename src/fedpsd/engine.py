@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import SAMPLING_STREAM, LOCAL_SHUFFLE_STREAM, ExperimentConfig
+from .config import SAMPLING_STREAM, ExperimentConfig
 from .data import (
     ClassPrior,
     ClientPartition,
@@ -29,18 +29,7 @@ from .data import (
     synth_generate,
 )
 from .metrics import MetricsSeries, RoundRecord, SweepRecord
-from .nn import (
-    ContractViolation,
-    ModelParams,
-    _backprop_from_acts,
-    _forward_cached,
-    forward,
-    init_model,
-    init_optimizer,
-    sgd_step,
-    softmax_ce,
-    top1_accuracy,
-)
+from .nn import ContractViolation, ModelParams, forward, init_model, top1_accuracy
 from .psd import ClientHistory, local_train_fedpsd
 
 
@@ -57,7 +46,6 @@ class ClientState:
     partition: ClientPartition
     prior: ClassPrior
     history: ClientHistory | None = None
-    last_participation_round: int | None = None
     last_params: ModelParams | None = None
 
 
@@ -116,55 +104,6 @@ def lr_schedule(base_lr: float, round_t: int, decay: float = 0.99) -> float:
     return base_lr * decay**round_t
 
 
-def local_train_baseline(
-    global_params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    client_id: int,
-    round_t: int,
-    lr: float,
-    cfg: ExperimentConfig,
-) -> tuple[ModelParams, list[float]]:
-    """FedAvg/FedProx local update: E epochs of mini-batch SGD on plain
-    cross-entropy, plus the proximal pull (mu/2)*||w - w_g||^2 for fedprox."""
-    n = labels.shape[0]
-    prox = cfg.algorithm == "fedprox"
-    params = global_params.copy()
-    opt = init_optimizer(params, lr, cfg.momentum, cfg.weight_decay)
-    rng = np.random.default_rng([cfg.seed, LOCAL_SHUFFLE_STREAM, round_t, client_id])
-    losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
-            x = features[idx]
-            logits, acts = _forward_cached(params, x)
-            loss, dlogits = softmax_ce(logits, labels[idx])
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss at round {round_t}, client {client_id}, "
-                    f"epoch {epoch + 1}, batch {batch_no + 1}"
-                )
-            grads = _backprop_from_acts(params, acts, dlogits, logits.shape)
-            if prox:
-                mu = cfg.prox_mu
-                sq = 0.0
-                for g, w, w_g in zip(grads.arrays(), params.arrays(), global_params.arrays()):
-                    diff = w - w_g
-                    sq += float((diff * diff).sum())
-                    g += mu * diff
-                loss = loss + 0.5 * mu * sq
-            try:
-                params, opt = sgd_step(params, grads, opt)
-            except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"{exc} at round {round_t}, client {client_id}, "
-                    f"epoch {epoch + 1}, batch {batch_no + 1}"
-                ) from exc
-            losses.append(loss)
-    return params, losses
-
-
 def _train_one(
     server: ServerState,
     client: ClientState,
@@ -173,17 +112,10 @@ def _train_one(
     cfg: ExperimentConfig,
 ) -> tuple[ModelParams, ClientHistory | None, list[float]]:
     idx = client.partition.train_indices
-    features = train.features[idx]
-    labels = train.labels[idx]
-    if cfg.algorithm == "fedpsd":
-        return local_train_fedpsd(
-            server.global_params, features, labels, client.prior, client.history,
-            client.client_id, server.round, lr, cfg,
-        )
-    params, losses = local_train_baseline(
-        server.global_params, features, labels, client.client_id, server.round, lr, cfg,
+    return local_train_fedpsd(
+        server.global_params, train.features[idx], train.labels[idx], client.prior,
+        client.history, client.client_id, server.round, lr, cfg,
     )
-    return params, None, losses
 
 
 def _local_accuracy(params: ModelParams, client: ClientState, test: LabeledDataset) -> float:
@@ -223,7 +155,6 @@ def run_round(
         updates.append((params, client.partition.n_k))
         if history is not None:
             client.history = history
-        client.last_participation_round = t
         client.last_params = params
 
     server.global_params = aggregate(updates, client_ids=sampled)
@@ -276,7 +207,10 @@ def _load_dataset_pair(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDa
         test = load_idx_files(
             f"{base}/t10k-images-idx3-ubyte", f"{base}/t10k-labels-idx1-ubyte"
         )
-        return train, test
+        # Each IDX file infers its class count from its own top label; the
+        # train set's count is the task's, so a test set missing the top
+        # class still lines up (and a label outside it still raises).
+        return train, replace(test, num_classes=train.num_classes)
     raise ContractViolation(f"unknown dataset {cfg.dataset!r}")
 
 

@@ -51,6 +51,10 @@ def format_round(record: RoundRecord) -> str:
     )
 
 
+def format_sweep(sweep: SweepRecord) -> str:
+    return f"{sweep.round},{sweep.all_client_top1:.6f}"
+
+
 def emit_metrics(series: MetricsSeries, path) -> None:
     """Write the per-round CSV: 6-decimal floats, sampled ids ;-joined."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -63,7 +67,7 @@ def emit_sweeps(series: MetricsSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for sweep in series.sweeps:
-            fh.write(f"{sweep.round},{sweep.all_client_top1:.6f}\n")
+            fh.write(format_sweep(sweep) + "\n")
 
 
 def load_metrics(path) -> MetricsSeries:

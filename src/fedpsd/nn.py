@@ -16,9 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Floor applied to probabilities before taking logs.
-PROB_EPS = 1e-12
-
 # Stream tag for model initialisation; keeps init draws independent of
 # every other consumer of the same experiment seed.
 _INIT_STREAM = 11
@@ -198,37 +195,6 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     loss = float(-log_p[np.arange(b), labels].mean())
     dlogits = (np.exp(log_p) - one_hot(labels, logits.shape[1])) / b
     return loss, dlogits
-
-
-def _check_prob_vector(name: str, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ContractViolation(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size and v.min() < 0.0:
-        raise ContractViolation(f"{name} has negative entries (min {v.min()})")
-    s = v.sum()
-    if abs(s - 1.0) > 1e-9:
-        raise ContractViolation(f"{name} sums to {s!r}, expected 1 within 1e-9")
-    return v
-
-
-def kl_divergence(target: np.ndarray, pred: np.ndarray) -> float:
-    """KL(target || pred) in nats over two probability vectors.
-
-    Zero-probability target entries contribute nothing; pred is floored
-    at PROB_EPS before the log. The result is clamped at zero to absorb
-    rounding, since the true divergence is never negative.
-    """
-    target = _check_prob_vector("target", target)
-    pred = _check_prob_vector("pred", pred)
-    if target.shape != pred.shape:
-        raise ContractViolation(
-            f"target shape {target.shape} != pred shape {pred.shape}"
-        )
-    mask = target > 0.0
-    p = np.clip(pred[mask], PROB_EPS, None)
-    val = float(np.sum(target[mask] * (np.log(target[mask]) - np.log(p))))
-    return max(val, 0.0)
 
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

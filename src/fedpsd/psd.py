@@ -1,16 +1,18 @@
-"""Progressive self-distillation with fused labels and calibrated loss.
+"""Client-side local training: FedAvg, FedProx and FedPSD in one loop.
 
-A client's local objective is the sum of a (possibly prior-calibrated)
-cross-entropy and a KL distillation term against a fused soft label:
-the convex combination of a teacher probability vector and the one-hot
-ground truth, weighted by a linearly growing schedule over rounds.
+Every algorithm runs mini-batch SGD on cross-entropy from a copy of the
+global model. FedProx adds the proximal pull toward the global model.
+FedPSD can shift the logits by the client's log class prior inside the
+cross-entropy (calibrated loss) and adds a KL distillation term against
+a fused soft label: the convex combination of a teacher probability
+vector and the one-hot ground truth, weighted by a linearly growing
+schedule over rounds.
 
 Teachers come from two places. In the first local epoch the teacher is
 the client's stored history: the softmax outputs recorded after its
 previous participation. In later epochs the teacher is the previous
 epoch's own (detached) outputs. Disabling the corresponding flags
-removes each term; with everything off the trainer degenerates to the
-plain FedAvg local update, bit for bit.
+removes each term; with everything off FedPSD runs the FedAvg update.
 """
 from __future__ import annotations
 
@@ -87,20 +89,6 @@ class FusionLabel:
     source: str  # "history" for first-epoch teachers, "previous-epoch" after
 
 
-@dataclass(frozen=True)
-class PSDConfig:
-    """The three component switches (one ablation-table row) plus schedule length."""
-
-    enable_rhpk: bool = True
-    enable_psd: bool = True
-    enable_cll: bool = True
-    t_total: int = 200
-
-    @classmethod
-    def from_experiment(cls, cfg: ExperimentConfig) -> "PSDConfig":
-        return cls(cfg.rhpk, cfg.psd, cfg.cll, cfg.t_total)
-
-
 def alpha_schedule(round_t: int, t_total: int) -> float:
     """Linear fusion weight t / t_total, clamped to 1 past the end."""
     if t_total < 1:
@@ -127,29 +115,25 @@ def fuse_labels(teacher: np.ndarray, truth: np.ndarray, alpha: float,
                 source: str = "history") -> FusionLabel:
     """Convex combination alpha * teacher + (1 - alpha) * truth.
 
-    ``truth`` must be exactly one-hot; for alpha < 0.5 the fused label
-    keeps the ground-truth class as its argmax, since its floor
-    (1 - alpha) beats any alpha-scaled teacher entry.
+    Takes one vector or a batch of rows. ``truth`` must be exactly
+    one-hot; for alpha < 0.5 the fused label keeps the ground-truth
+    class as its argmax, since its floor (1 - alpha) beats any
+    alpha-scaled teacher entry. At alpha 0 and 1 the arithmetic returns
+    truth and teacher exactly.
     """
-    teacher = _check_teacher_rows(np.asarray(teacher, dtype=np.float64))
+    teacher = _check_teacher_rows(teacher)
     truth = np.asarray(truth, dtype=np.float64)
-    if teacher.ndim != 1 or truth.shape != teacher.shape:
+    if teacher.ndim not in (1, 2) or truth.shape != teacher.shape:
         raise ContractViolation(
-            f"teacher {teacher.shape} and truth {truth.shape} must be matching vectors"
+            f"teacher {teacher.shape} and truth {truth.shape} must be matching vectors or batches"
         )
-    if not np.isin(truth, (0.0, 1.0)).all() or truth.sum() != 1.0:
+    if not ((truth == 0.0) | (truth == 1.0)).all() or (truth.sum(axis=-1) != 1.0).any():
         raise ContractViolation("truth must be one-hot")
     if not 0.0 <= alpha <= 1.0:
         raise ContractViolation(f"alpha must be in [0, 1], got {alpha}")
     if source not in ("history", "previous-epoch"):
         raise ContractViolation(f"unknown fusion source {source!r}")
-    if alpha == 0.0:
-        fused = truth.copy()
-    elif alpha == 1.0:
-        fused = teacher.copy()
-    else:
-        fused = alpha * teacher + (1.0 - alpha) * truth
-    return FusionLabel(probs=fused, alpha=alpha, source=source)
+    return FusionLabel(alpha * teacher + (1.0 - alpha) * truth, alpha, source)
 
 
 def _prior_probs(prior) -> np.ndarray:
@@ -157,36 +141,6 @@ def _prior_probs(prior) -> np.ndarray:
     if probs.ndim != 1 or probs.min() <= 0.0:
         raise ContractViolation("prior must be a strictly positive vector; smooth it first")
     return probs
-
-
-def calibrated_ce_loss(logits: np.ndarray, labels, prior) -> tuple[float, np.ndarray]:
-    """Cross-entropy of the prior-shifted logits.
-
-    The training softmax sees f + ln P, so locally frequent classes
-    must beat their prior instead of merely winning the raw logits;
-    gradient is softmax(f + ln P) - onehot, batch-meaned. Accepts a
-    single logit vector or a (B, L) batch.
-    """
-    probs = _prior_probs(prior)
-    logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    batch = logits[None, :] if single else logits
-    label_arr = np.atleast_1d(np.asarray(labels))
-    loss, dlogits = softmax_ce(batch + np.log(probs), label_arr)
-    return loss, (dlogits[0] if single else dlogits)
-
-
-def balanced_prediction(logits: np.ndarray, prior):
-    """Argmax of prior-corrected scores f - ln P (ties to the lowest class).
-
-    Equivalent to ranking classes by softmax(f)[y] / P(y).
-    """
-    probs = _prior_probs(prior)
-    logits = np.asarray(logits, dtype=np.float64)
-    adjusted = logits - np.log(probs)
-    if logits.ndim == 1:
-        return int(np.argmax(adjusted))
-    return np.argmax(adjusted, axis=-1)
 
 
 def _kd_rows(teacher_rows: np.ndarray, logits: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -202,6 +156,61 @@ def _kd_rows(teacher_rows: np.ndarray, logits: np.ndarray) -> tuple[float, np.nd
     loss = float((neg_entropy + cross).mean())
     dlogits = (probs - t) / b
     return loss, dlogits, probs
+
+
+def local_loss(
+    logits: np.ndarray,
+    labels: np.ndarray | None,
+    log_prior: np.ndarray | None = None,
+    teacher: np.ndarray | None = None,
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The local objective on one (B, L) batch and its logit gradient.
+
+    Cross-entropy of ``logits + log_prior`` (plain logits when
+    ``log_prior`` is None, no CE term when ``labels`` is None), plus
+    KL(teacher || softmax(logits)) when ``teacher`` rows are given; the
+    distillation term always sees the uncalibrated logits. Returns
+    (loss, dlogits, probs), with probs the student softmax when the KL
+    term ran and None otherwise. Inputs are not checked here: the
+    trainer validates once per call or per epoch, never per batch.
+    """
+    loss, dlogits, probs = 0.0, None, None
+    if labels is not None:
+        loss, dlogits = softmax_ce(logits if log_prior is None else logits + log_prior, labels)
+    if teacher is not None:
+        kd_loss, kd_grad, probs = _kd_rows(teacher, logits)
+        loss = loss + kd_loss
+        dlogits = kd_grad if dlogits is None else dlogits + kd_grad
+    return loss, dlogits, probs
+
+
+def calibrated_ce_loss(logits: np.ndarray, labels, prior) -> tuple[float, np.ndarray]:
+    """Cross-entropy of the prior-shifted logits.
+
+    The training softmax sees f + ln P, so locally frequent classes
+    must beat their prior instead of merely winning the raw logits;
+    gradient is softmax(f + ln P) - onehot, batch-meaned. Accepts a
+    single logit vector or a (B, L) batch.
+    """
+    log_prior = np.log(_prior_probs(prior))
+    logits = np.asarray(logits, dtype=np.float64)
+    single = logits.ndim == 1
+    batch = logits[None, :] if single else logits
+    loss, dlogits, _ = local_loss(batch, np.atleast_1d(np.asarray(labels)), log_prior)
+    return loss, (dlogits[0] if single else dlogits)
+
+
+def balanced_prediction(logits: np.ndarray, prior):
+    """Argmax of prior-corrected scores f - ln P (ties to the lowest class).
+
+    Equivalent to ranking classes by softmax(f)[y] / P(y).
+    """
+    probs = _prior_probs(prior)
+    logits = np.asarray(logits, dtype=np.float64)
+    adjusted = logits - np.log(probs)
+    if logits.ndim == 1:
+        return int(np.argmax(adjusted))
+    return np.argmax(adjusted, axis=-1)
 
 
 def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]:
@@ -222,8 +231,19 @@ def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]
         raise ContractViolation(
             f"teacher shape {rows.shape} does not match logits shape {logits.shape}"
         )
-    loss, dlogits, _ = _kd_rows(rows, logits)
+    loss, dlogits, _ = local_loss(logits, None, teacher=rows)
     return loss, (dlogits[0] if single else dlogits)
+
+
+def proximal_term(params: ModelParams, anchor: ModelParams, mu: float) -> tuple[float, ModelParams]:
+    """FedProx's pull (mu/2) * ||w - w_anchor||^2 and its gradient mu * (w - w_anchor)."""
+    sq = 0.0
+    grads = []
+    for w, w_a in zip(params.arrays(), anchor.arrays()):
+        diff = w - w_a
+        sq += float((diff * diff).sum())
+        grads.append(mu * diff)
+    return 0.5 * mu * sq, ModelParams(grads[0::2], grads[1::2])
 
 
 def local_train_fedpsd(
@@ -236,62 +256,58 @@ def local_train_fedpsd(
     round_t: int,
     lr: float,
     cfg: ExperimentConfig,
-) -> tuple[ModelParams, ClientHistory, list[float]]:
-    """One client's local update: E epochs of SGD on CE + distillation.
+) -> tuple[ModelParams, ClientHistory | None, list[float]]:
+    """One client's local update for ``cfg.algorithm``: E epochs of SGD.
 
-    Epoch 1 distills toward the fused history teacher when available
-    (and the history flag is on); later epochs distill toward the
-    fused outputs cached during the previous epoch. After the last
-    epoch the trained model's softmax outputs over the full local set
-    become the new history. Returns (params, history, per-batch losses).
+    fedavg minimises cross-entropy and fedprox adds the proximal pull
+    toward ``global_params``. fedpsd calibrates the cross-entropy with
+    ``prior`` (cll), distills epoch 1 toward the fused history teacher
+    (rhpk) or the one-hot fallback, and distills later epochs toward
+    the fused outputs cached during the previous epoch (psd); after the
+    last epoch the trained model's softmax outputs over the full local
+    set become the new history. Returns (params, history, per-batch
+    losses); the history is None outside fedpsd.
     """
     n = labels.shape[0]
     num_classes = global_params.num_classes
-    alpha = alpha_schedule(round_t, cfg.t_total)
+    fedpsd = cfg.algorithm == "fedpsd"
+    prox = cfg.algorithm == "fedprox"
+    alpha = alpha_schedule(round_t, cfg.t_total) if fedpsd else 0.0
     params = global_params.copy()
     opt = init_optimizer(params, lr, cfg.momentum, cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, LOCAL_SHUFFLE_STREAM, round_t, client_id])
 
     onehots = one_hot(labels, num_classes)
-    log_prior = np.log(_prior_probs(prior)) if cfg.cll else None
+    log_prior = np.log(_prior_probs(prior)) if fedpsd and cfg.cll else None
     if history is not None and history.probs.shape != (n, num_classes):
         raise ContractViolation(
             f"client {client_id} history shape {history.probs.shape} does not match "
             f"({n}, {num_classes}); partitions must stay fixed across rounds"
         )
-    cache = np.empty((n, num_classes)) if cfg.psd and not cfg.psd_fresh_teacher else None
+    use_psd = fedpsd and cfg.psd
+    cache = np.empty((n, num_classes)) if use_psd and not cfg.psd_fresh_teacher else None
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
+        teacher = None
         if epoch == 0:
-            if cfg.rhpk and history is not None:
-                teacher = alpha * history.probs + (1.0 - alpha) * onehots
-            elif cfg.kd_epoch1_fallback:
+            if fedpsd and cfg.rhpk and history is not None:
+                teacher = fuse_labels(history.probs, onehots, alpha).probs
+            elif fedpsd and cfg.kd_epoch1_fallback:
                 teacher = onehots
-            else:
-                teacher = None
-        elif cfg.psd:
+        elif use_psd:
             source = softmax(forward(params, features)) if cfg.psd_fresh_teacher else cache
-            teacher = alpha * source + (1.0 - alpha) * onehots
-        else:
-            teacher = None
+            teacher = fuse_labels(source, onehots, alpha, "previous-epoch").probs
         # The cache written during this epoch feeds the next one.
         fill_cache = cache is not None and epoch < cfg.epochs - 1
 
         perm = rng.permutation(n)
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
-            x = features[idx]
-            logits, acts = _forward_cached(params, x)
-            if cfg.cll:
-                loss, dlogits = softmax_ce(logits + log_prior, labels[idx])
-            else:
-                loss, dlogits = softmax_ce(logits, labels[idx])
-            probs = None
-            if teacher is not None:
-                kd_loss, kd_grad, probs = _kd_rows(teacher[idx], logits)
-                loss = loss + kd_loss
-                dlogits = dlogits + kd_grad
+            logits, acts = _forward_cached(params, features[idx])
+            loss, dlogits, probs = local_loss(
+                logits, labels[idx], log_prior, None if teacher is None else teacher[idx]
+            )
             if fill_cache:
                 cache[idx] = softmax(logits) if probs is None else probs
             if not np.isfinite(loss):
@@ -300,6 +316,11 @@ def local_train_fedpsd(
                     f"epoch {epoch + 1}, batch {batch_no + 1}"
                 )
             grads = _backprop_from_acts(params, acts, dlogits, logits.shape)
+            if prox:
+                prox_loss, prox_grads = proximal_term(params, global_params, cfg.prox_mu)
+                loss = loss + prox_loss
+                for g, g_prox in zip(grads.arrays(), prox_grads.arrays()):
+                    g += g_prox
             try:
                 params, opt = sgd_step(params, grads, opt)
             except FloatingPointError as exc:
@@ -309,5 +330,7 @@ def local_train_fedpsd(
                 ) from exc
             losses.append(loss)
 
+    if not fedpsd:
+        return params, None, losses
     new_history = ClientHistory(softmax(forward(params, features)), recorded_round=round_t)
     return params, new_history, losses

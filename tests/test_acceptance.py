@@ -25,7 +25,6 @@ from fedpsd.data import (
 from fedpsd.engine import aggregate, build_federation, run_experiment, run_round
 from fedpsd.metrics import rounds_to_target
 from fedpsd.nn import (
-    ModelParams,
     finite_diff_check,
     forward,
     init_model,
@@ -38,7 +37,8 @@ from fedpsd.psd import (
     balanced_prediction,
     calibrated_ce_loss,
     fuse_labels,
-    psd_kd_loss,
+    local_loss,
+    proximal_term,
 )
 
 # The shared desk-scale task: 10 Gaussian classes in 32 dimensions, 500
@@ -101,7 +101,12 @@ def image_runs(mnist_dir):
 
 
 def test_criterion_1_gradient_oracles():
-    """Analytic gradients of every loss match central finite differences."""
+    """Analytic gradients of the trainer's own losses match central finite differences.
+
+    ``local_loss`` is the per-batch objective the local trainer calls,
+    here in its four forms (plain CE, calibrated CE, CE + KD, calibrated
+    CE + KD); ``proximal_term`` is the trainer's FedProx pull.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -113,43 +118,27 @@ def test_criterion_1_gradient_oracles():
         model = init_model(sizes, seed=int(rng.integers(1 << 30)))
         batch = rng.normal(size=(int(rng.integers(2, 6)), dim))
         labels = rng.integers(0, num_classes, size=batch.shape[0])
-        prior = rng.dirichlet(np.full(num_classes, 5.0))
+        log_prior = np.log(rng.dirichlet(np.full(num_classes, 5.0)))
         teacher = rng.dirichlet(np.full(num_classes, 2.0), size=batch.shape[0])
 
-        worst = max(worst, finite_diff_check(
-            model, batch, lambda lg: calibrated_ce_loss(lg, labels, prior)))
-        worst = max(worst, finite_diff_check(
-            model, batch, lambda lg: psd_kd_loss(teacher, lg)))
-
-        def combined(lg):
-            ce, d_ce = calibrated_ce_loss(lg, labels, prior)
-            kd, d_kd = psd_kd_loss(teacher, lg)
-            return ce + kd, d_ce + d_kd
-
-        worst = max(worst, finite_diff_check(model, batch, combined))
+        for form_prior, form_teacher in ((None, None), (log_prior, None),
+                                         (None, teacher), (log_prior, teacher)):
+            worst = max(worst, finite_diff_check(
+                model, batch,
+                lambda lg: local_loss(lg, labels, form_prior, form_teacher)[:2]))
 
         anchor = init_model(sizes, seed=int(rng.integers(1 << 30)))
         mu = 0.1 + float(rng.random())
-
-        def proximal(m):
-            diffs_w = [w - a for w, a in zip(m.weights, anchor.weights)]
-            diffs_b = [b - a for b, a in zip(m.biases, anchor.biases)]
-            loss = 0.5 * mu * (
-                sum(float((d * d).sum()) for d in diffs_w)
-                + sum(float((d * d).sum()) for d in diffs_b)
-            )
-            grads = ModelParams([mu * d for d in diffs_w], [mu * d for d in diffs_b])
-            return loss, grads
-
         worst = max(worst, finite_diff_check(
-            model, batch, lambda lg: softmax_ce(lg, labels), param_term=proximal))
-        checked += 4
+            model, batch, lambda lg: local_loss(lg, labels)[:2],
+            param_term=lambda m: proximal_term(m, anchor, mu)))
+        checked += 5
 
     elapsed = time.perf_counter() - t0
     assert checked >= 50
     assert worst < 1e-4, f"worst gradient relative error {worst:.3e}"
     assert elapsed < 30.0, f"gradient oracle suite took {elapsed:.1f}s"
-    print(f"CRITERION 1 PASS: {checked} models, worst rel err {worst:.2e}, {elapsed:.1f}s")
+    print(f"CRITERION 1 PASS: {checked} checks, worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_2_equation_identities():

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from fedpsd.config import ExperimentConfig
-from fedpsd.data import class_prior, synth_generate
+from fedpsd.config import LOCAL_SHUFFLE_STREAM, ExperimentConfig
+from fedpsd.data import LabeledDataset, class_prior, save_idx, synth_generate
 from fedpsd.engine import (
     aggregate,
     build_federation,
-    local_train_baseline,
     lr_schedule,
     run_experiment,
     run_round,
@@ -103,12 +102,63 @@ def _one_client(seed=0, classes=2, per_class=40, spread=0.1):
     return ds
 
 
+def _reference_local_update(model, features, labels, client_id, round_t, lr, cfg):
+    """The FedAvg local update written out step by step, plus FedProx's
+    proximal pull: an oracle for the trainer that shares none of its code.
+
+    Parameters are kept as [w0, b0, w1, b1, ...], the order in which the
+    trainer sums the proximal penalty.
+    """
+    params = [a.copy() for a in model.arrays()]
+    anchor = model.arrays()
+    velocity = [np.zeros_like(a) for a in params]
+    layers = len(params) // 2
+    mu = cfg.prox_mu if cfg.algorithm == "fedprox" else None
+    rng = np.random.default_rng([cfg.seed, LOCAL_SHUFFLE_STREAM, round_t, client_id])
+    losses = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(labels.shape[0])
+        for start in range(0, labels.shape[0], cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            rows, y = np.arange(idx.size), labels[idx]
+            inputs = [features[idx]]
+            for i in range(layers):
+                z = inputs[-1] @ params[2 * i].T + params[2 * i + 1]
+                inputs.append(z if i == layers - 1 else np.maximum(z, 0.0))
+            logits = inputs.pop()
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            loss = float(-log_p[rows, y].mean())
+            target = np.zeros_like(logits)
+            target[rows, y] = 1.0
+            delta = (np.exp(log_p) - target) / idx.size
+            grads = [None] * len(params)
+            for i in reversed(range(layers)):
+                grads[2 * i] = delta.T @ inputs[i]
+                grads[2 * i + 1] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ params[2 * i]) * (inputs[i] > 0.0)
+            if mu is not None:
+                sq = 0.0
+                for j in range(len(params)):
+                    diff = params[j] - anchor[j]
+                    sq += float((diff * diff).sum())
+                    grads[j] = grads[j] + mu * diff
+                loss = loss + 0.5 * mu * sq
+            for j in range(len(params)):
+                velocity[j] = cfg.momentum * velocity[j] + (grads[j] + cfg.weight_decay * params[j])
+                params[j] = params[j] - lr * velocity[j]
+            losses.append(loss)
+    return params, losses
+
+
 class TestLocalBaseline:
     def test_lr_zero_returns_global(self):
         ds = _one_client()
         model = init_model([8, 6, 2], seed=0)
         cfg = ExperimentConfig(epochs=2, batch_size=16, seed=0)
-        params, _ = local_train_baseline(model, ds.features, ds.labels, 0, 0, 0.0, cfg)
+        params, history, _ = local_train_fedpsd(model, ds.features, ds.labels, None, None, 0, 0, 0.0, cfg)
+        assert history is None
         for a, b in zip(params.arrays(), model.arrays()):
             assert np.array_equal(a, b)
 
@@ -121,8 +171,8 @@ class TestLocalBaseline:
         prox_cfg = ExperimentConfig(
             algorithm="fedprox", prox_mu=10.0, epochs=3, batch_size=16, seed=2, momentum=0.0
         )
-        p_avg, _ = local_train_baseline(model, ds.features, ds.labels, 0, 0, 0.05, avg_cfg)
-        p_prox, _ = local_train_baseline(model, ds.features, ds.labels, 0, 0, 0.05, prox_cfg)
+        p_avg, _, _ = local_train_fedpsd(model, ds.features, ds.labels, None, None, 0, 0, 0.05, avg_cfg)
+        p_prox, _, _ = local_train_fedpsd(model, ds.features, ds.labels, None, None, 0, 0, 0.05, prox_cfg)
 
         def dist(p):
             return sum(float(((a - b) ** 2).sum()) for a, b in zip(p.arrays(), model.arrays()))
@@ -133,25 +183,48 @@ class TestLocalBaseline:
         ds = _one_client(seed=3)
         model = init_model([8, 6, 2], seed=3)
         cfg = ExperimentConfig(epochs=20, batch_size=16, seed=0)
-        params, losses = local_train_baseline(model, ds.features, ds.labels, 0, 0, 0.05, cfg)
+        params, _, losses = local_train_fedpsd(model, ds.features, ds.labels, None, None, 0, 0, 0.05, cfg)
         acc = top1_accuracy(forward(params, ds.features), ds.labels)
         assert acc >= 0.95
         assert losses[-1] < losses[0]
 
-    def test_all_flags_off_fedpsd_is_fedavg_bit_exact(self):
+    @staticmethod
+    def _assert_matches_reference(**overrides):
         ds = synth_generate(4, 8, 30, seed=5, spread=0.3)
         prior = class_prior(ds.labels, 4, epsilon=1.0)
-        model = init_model([8, 6, 4], seed=5)
-        base = dict(epochs=3, batch_size=16, seed=11, t_total=10)
-        avg_cfg = ExperimentConfig(algorithm="fedavg", **base)
-        off_cfg = ExperimentConfig(algorithm="fedpsd", rhpk=False, psd=False, cll=False, **base)
-        p_avg, l_avg = local_train_baseline(model, ds.features, ds.labels, 3, 2, 0.04, avg_cfg)
-        p_off, _, l_off = local_train_fedpsd(
-            model, ds.features, ds.labels, prior, None, 3, 2, 0.04, off_cfg
+        model = init_model([8, 6, 5, 4], seed=5)
+        cfg = ExperimentConfig(
+            epochs=3, batch_size=16, seed=11, t_total=10, momentum=0.9, weight_decay=1e-3,
+            **overrides,
         )
-        assert l_avg == l_off
-        for a, b in zip(p_avg.arrays(), p_off.arrays()):
-            assert np.array_equal(a, b)
+        params, history, losses = local_train_fedpsd(
+            model, ds.features, ds.labels, prior, None, 3, 2, 0.04, cfg
+        )
+        want_params, want_losses = _reference_local_update(
+            model, ds.features, ds.labels, 3, 2, 0.04, cfg
+        )
+        assert losses == want_losses
+        assert len(params.arrays()) == len(want_params)
+        for got, want in zip(params.arrays(), want_params):
+            assert np.array_equal(got, want)
+        assert (history is None) == (cfg.algorithm != "fedpsd")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(algorithm="fedavg"),
+            dict(algorithm="fedprox", prox_mu=0.5),
+            dict(algorithm="fedprox", prox_mu=0.0),
+        ],
+        ids=["fedavg", "fedprox", "fedprox_mu0"],
+    )
+    def test_matches_straight_line_reference(self, overrides):
+        # The fedpsd flags stay at their defaults (on) here, so this also
+        # pins that they act only under algorithm = fedpsd.
+        self._assert_matches_reference(**overrides)
+
+    def test_all_flags_off_fedpsd_is_fedavg_bit_exact(self):
+        self._assert_matches_reference(algorithm="fedpsd", rhpk=False, psd=False, cll=False)
 
 
 def _small_cfg(**overrides):
@@ -237,3 +310,36 @@ class TestRunExperiment:
     def test_mnist_requires_directory(self):
         with pytest.raises(ContractViolation, match="mnist_dir"):
             run_experiment(_small_cfg(dataset="mnist"))
+
+
+def _write_idx_dir(directory, train, test):
+    for split, prefix in ((train, "train"), (test, "t10k")):
+        images, labels = save_idx(split)
+        (directory / f"{prefix}-images-idx3-ubyte").write_bytes(images)
+        (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(labels)
+
+
+def _idx_split(classes, per_class, seed):
+    labels = np.repeat(np.arange(classes), per_class)
+    features = np.random.default_rng(seed).integers(0, 256, size=(labels.size, 4)) / 255.0
+    return LabeledDataset(features, labels, num_classes=classes)
+
+
+class TestIdxClassCount:
+    CFG = dict(
+        dataset="mnist", num_clients=2, fraction=1.0, shards_per_client=2, t_total=1,
+        epochs=1, batch_size=10, hidden=(4,), test_budget=10, sweep_every=0,
+    )
+
+    def test_test_set_missing_top_class_is_skipped_with_warning(self, tmp_path):
+        _write_idx_dir(tmp_path, _idx_split(4, 20, seed=0), _idx_split(3, 10, seed=1))
+        cfg = ExperimentConfig(mnist_dir=str(tmp_path), **self.CFG)
+        with pytest.warns(UserWarning, match="class 3 .* absent from the global test set"):
+            series = run_experiment(cfg)
+        assert [r.round for r in series.rounds] == [1]
+
+    def test_test_label_outside_train_classes_raises(self, tmp_path):
+        _write_idx_dir(tmp_path, _idx_split(3, 20, seed=0), _idx_split(4, 10, seed=1))
+        cfg = ExperimentConfig(mnist_dir=str(tmp_path), **self.CFG)
+        with pytest.raises(ContractViolation, match=r"labels must lie in \[0, 3\)"):
+            run_experiment(cfg)

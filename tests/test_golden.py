@@ -1,0 +1,68 @@
+"""Golden output bytes: metrics.csv + sweeps.csv for small synthetic runs.
+
+Refactors that claim to change no behaviour must keep these digests.
+A change that moves them on purpose updates the table and says why.
+The digests were taken with float64 numpy on OpenBLAS; a different
+BLAS may round matrix products differently, so a mismatch prints the
+numpy and BLAS build next to the digest.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from fedpsd.config import ExperimentConfig
+from fedpsd.engine import run_experiment
+from fedpsd.metrics import emit_metrics, emit_sweeps
+
+_BASE = dict(
+    dataset="synthetic", synth_classes=4, synth_dim=8, synth_per_class=30,
+    synth_test_per_class=15, synth_spread=0.3, partition="sharding",
+    shards_per_client=2, num_clients=6, fraction=0.5, t_total=6, epochs=3,
+    batch_size=16, hidden=(12,), base_lr=0.05, test_budget=20, sweep_every=2,
+    seed=4,
+)
+
+GOLDEN = {
+    "fedavg": (
+        dict(algorithm="fedavg"),
+        "44b38563b5b82c2960e4232be6f9045f7ab59a48318ff438e8c2123e37f41f97",
+    ),
+    "fedprox": (
+        dict(algorithm="fedprox", prox_mu=0.5),
+        "faea218d856572c01976824fd4da110e2d2a2fdf1a815bdef347eef1cd73befa",
+    ),
+    "fedpsd": (
+        dict(algorithm="fedpsd"),
+        "39ff5eb6216cb3dd62b304952313e7c1a5f5cf21861dd92c6e260ce55d8dee13",
+    ),
+    "fedpsd_fresh_teacher": (
+        dict(algorithm="fedpsd", psd_fresh_teacher=True),
+        "bcf31ca00f781eb27bd09b9d452f6cc62485ceda1b902dac320a6430a302a412",
+    ),
+    "fedpsd_epoch1_fallback": (
+        dict(algorithm="fedpsd", rhpk=False, kd_epoch1_fallback=True),
+        "ad65ce90e6420c3202bd0616769e1a6b72019bd2a950bf64516513cdf6817084",
+    ),
+    "fedpsd_dirichlet_workers2": (
+        dict(algorithm="fedpsd", partition="dirichlet", dirichlet_alpha=0.5, workers=2),
+        "c1112c689293fc1dbdb900ce735469b8bed02982c5d26338a2652088ff360a5c",
+    ),
+}
+
+
+def _build() -> str:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_golden(name, tmp_path):
+    overrides, want = GOLDEN[name]
+    series = run_experiment(ExperimentConfig(**{**_BASE, **overrides}))
+    emit_metrics(series, tmp_path / "metrics.csv")
+    emit_sweeps(series, tmp_path / "sweeps.csv")
+    digest = hashlib.sha256(
+        (tmp_path / "metrics.csv").read_bytes() + (tmp_path / "sweeps.csv").read_bytes()
+    ).hexdigest()
+    assert digest == want, f"{name}: sha256 {digest} on {_build()}"

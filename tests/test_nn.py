@@ -16,7 +16,6 @@ from fedpsd.nn import (
     forward,
     init_model,
     init_optimizer,
-    kl_divergence,
     one_hot,
     sgd_step,
     softmax,
@@ -127,38 +126,6 @@ class TestSoftmax:
     def test_extreme_logits_stable(self):
         s = softmax(np.array([1000.0, 0.0]))
         assert np.isfinite(s).all() and abs(s.sum() - 1.0) < 1e-12
-
-
-class TestKL:
-    def test_identical_is_zero(self):
-        assert kl_divergence(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
-
-    def test_onehot_target(self):
-        got = kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-        assert got == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_hand_value(self):
-        got = kl_divergence(np.array([0.8, 0.2]), np.array([0.5, 0.5]))
-        want = 0.8 * math.log(0.8 / 0.5) + 0.2 * math.log(0.2 / 0.5)
-        assert got == pytest.approx(want, abs=1e-12)
-        assert got == pytest.approx(0.19274, abs=1e-5)
-
-    def test_nonnegative_on_random_pairs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = int(rng.integers(2, 10))
-            p = rng.dirichlet(np.ones(n))
-            q = rng.dirichlet(np.ones(n))
-            assert kl_divergence(p, q) >= 0.0
-            assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
-
-    def test_domain_violations(self):
-        with pytest.raises(ContractViolation):
-            kl_divergence(np.array([0.7, 0.4]), np.array([0.5, 0.5]))
-        with pytest.raises(ContractViolation):
-            kl_divergence(np.array([1.2, -0.2]), np.array([0.5, 0.5]))
-        with pytest.raises(ContractViolation):
-            kl_divergence(np.array([0.5, 0.5]), np.array([1.0 / 3] * 3))
 
 
 class TestBackprop:

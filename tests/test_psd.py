@@ -18,7 +18,6 @@ from fedpsd.nn import (
 from fedpsd.psd import (
     ClientHistory,
     FusionLabel,
-    PSDConfig,
     alpha_schedule,
     balanced_prediction,
     calibrated_ce_loss,
@@ -85,6 +84,17 @@ class TestFuseLabels:
             a = float(rng.uniform(0, 0.4999))
             fused = fuse_labels(p, y, a)
             assert int(np.argmax(fused.probs)) == cls
+
+    def test_batch_rows_match_vector_form(self):
+        rng = np.random.default_rng(2)
+        teacher = rng.dirichlet(np.ones(5), size=8)
+        truth = one_hot(rng.integers(0, 5, size=8), 5)
+        fused = fuse_labels(teacher, truth, 0.3, source="previous-epoch")
+        assert fused.probs.shape == (8, 5)
+        for row, t, y in zip(fused.probs, teacher, truth):
+            assert np.array_equal(row, fuse_labels(t, y, 0.3).probs)
+        with pytest.raises(ContractViolation):
+            fuse_labels(teacher, truth[:, ::-1] * 0.5, 0.3)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractViolation):
@@ -216,6 +226,38 @@ class TestKDLoss:
         with pytest.raises(ContractViolation):
             psd_kd_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
 
+    # KL(p || q) itself: log q is a logit vector whose softmax is q.
+    def test_kl_identical_is_zero(self):
+        p = np.array([0.5, 0.5])
+        assert psd_kd_loss(p, np.log(p))[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_kl_onehot_target(self):
+        got, _ = psd_kd_loss(np.array([1.0, 0.0]), np.log([0.5, 0.5]))
+        assert got == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_kl_hand_value(self):
+        got, _ = psd_kd_loss(np.array([0.8, 0.2]), np.log([0.5, 0.5]))
+        want = 0.8 * math.log(0.8 / 0.5) + 0.2 * math.log(0.2 / 0.5)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(0.19274, abs=1e-5)
+
+    def test_kl_nonnegative_on_random_pairs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 10))
+            p = rng.dirichlet(np.ones(n))
+            q = rng.dirichlet(np.ones(n))
+            assert psd_kd_loss(p, np.log(q))[0] >= 0.0
+            assert psd_kd_loss(p, np.log(p))[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_teacher_domain_violations(self):
+        with pytest.raises(ContractViolation):
+            psd_kd_loss(np.array([0.7, 0.4]), np.log([0.5, 0.5]))
+        with pytest.raises(ContractViolation):
+            psd_kd_loss(np.array([1.2, -0.2]), np.log([0.5, 0.5]))
+        with pytest.raises(ContractViolation):
+            psd_kd_loss(np.array([0.5, 0.5]), np.log([1.0 / 3] * 3))
+
 
 class TestClientHistory:
     def test_round_trip(self):
@@ -331,11 +373,6 @@ class TestLocalTrainer:
 
 
 class TestPSDConfig:
-    def test_from_experiment(self):
-        cfg = ExperimentConfig(rhpk=True, psd=False, cll=True, t_total=40)
-        flags = PSDConfig.from_experiment(cfg)
-        assert flags == PSDConfig(True, False, True, 40)
-
     def test_fusion_label_fields(self):
         fused = fuse_labels(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0.2, source="previous-epoch")
         assert isinstance(fused, FusionLabel)
