@@ -89,12 +89,12 @@ def aggregate(updates: list[tuple[ModelParams, int]], client_ids: list[int] | No
         if [a.shape for a in params.arrays()] != ref_shapes:
             raise ContractViolation(f"client {name} returned mismatched parameter shapes")
         total += n_k
-    out = [np.zeros_like(a) for a in reference.arrays()]
+    # One client at a time, in order: a stacked matrix product would
+    # let BLAS reorder the sum and change the result's last bits.
+    out = reference.zeros_like()
     for params, n_k in updates:
-        w = n_k / total
-        for acc, arr in zip(out, params.arrays()):
-            acc += w * arr
-    return ModelParams(out[0::2], out[1::2])
+        out.flat += (n_k / total) * params.flat
+    return out
 
 
 def lr_schedule(base_lr: float, round_t: int, decay: float = 0.99) -> float:

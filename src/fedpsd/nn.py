@@ -12,7 +12,8 @@ the batch size, so ``backprop`` output feeds straight into
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +32,15 @@ class ModelParams:
 
     ``weights[i]`` has shape (out_i, in_i) and ``biases[i]`` shape
     (out_i,); adjacent layers must chain (in_{i+1} == out_i). All
-    arrays are float64.
+    arrays are float64 views into one contiguous vector ``flat``, laid
+    out in ``arrays()`` order, so writing through a view writes ``flat``
+    and whole-model arithmetic is one operation on ``flat``.
+    Construction copies the given arrays in; it never aliases them.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -50,6 +55,26 @@ class ModelParams:
                     f"layer {i}: input dim {w.shape[1]} does not chain with "
                     f"layer {i - 1} output dim {self.weights[i - 1].shape[0]}"
                 )
+        arrays = self.arrays()
+        flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+        self._bind(flat, tuple(a.shape for a in arrays))
+
+    def _bind(self, flat: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> None:
+        self.flat = flat
+        self._shapes = shapes
+        views, start = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[start : start + size].reshape(shape))
+            start += size
+        self.weights = views[0::2]
+        self.biases = views[1::2]
+
+    def with_flat(self, flat: np.ndarray) -> "ModelParams":
+        """Parameters with this model's layout over ``flat`` (no copy, no checks)."""
+        out = object.__new__(ModelParams)
+        out._bind(flat, self._shapes)
+        return out
 
     @property
     def num_layers(self) -> int:
@@ -64,13 +89,10 @@ class ModelParams:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return self.with_flat(self.flat.copy())
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            [np.zeros_like(w) for w in self.weights],
-            [np.zeros_like(b) for b in self.biases],
-        )
+        return self.with_flat(np.zeros_like(self.flat))
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed order (weights then bias per layer)."""
@@ -142,22 +164,24 @@ def _backprop_from_acts(
     acts: list[np.ndarray],
     dlogits: np.ndarray,
     expect_shape: tuple[int, ...],
+    out: ModelParams | None = None,
 ) -> ModelParams:
+    """Gradients from cached activations, written into ``out`` when given
+    (a buffer laid out like ``model``, reused across steps)."""
     if dlogits.shape != expect_shape:
         raise ContractViolation(
             f"dlogits shape {dlogits.shape} does not match logits shape {expect_shape}"
         )
-    d_weights = [np.empty(0)] * model.num_layers
-    d_biases = [np.empty(0)] * model.num_layers
+    grads = model.with_flat(np.empty_like(model.flat)) if out is None else out
     delta = dlogits
     for i in range(model.num_layers - 1, -1, -1):
         a = acts[i]
-        d_weights[i] = delta.T @ a
-        d_biases[i] = delta.sum(axis=0)
+        np.matmul(delta.T, a, out=grads.weights[i])
+        delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
             # ReLU mask from post-activation: a > 0 iff pre-activation > 0.
             delta = (delta @ model.weights[i]) * (a > 0.0)
-    return ModelParams(d_weights, d_biases)
+    return grads
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -213,12 +237,17 @@ def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class OptimizerState:
-    """Classical-momentum SGD state: one velocity buffer per parameter array."""
+    """Classical-momentum SGD state: one velocity vector laid out like the model."""
 
-    velocities: list[np.ndarray]
+    velocity: ModelParams
     learning_rate: float
     momentum: float
     weight_decay: float
+
+    @property
+    def velocities(self) -> list[np.ndarray]:
+        """Per-array views of ``velocity``, in ``ModelParams.arrays()`` order."""
+        return self.velocity.arrays()
 
 
 def init_optimizer(
@@ -230,7 +259,7 @@ def init_optimizer(
     if learning_rate < 0 or momentum < 0 or weight_decay < 0:
         raise ContractViolation("optimizer hyperparameters must be non-negative")
     return OptimizerState(
-        velocities=[np.zeros_like(a) for a in model.arrays()],
+        velocity=model.zeros_like(),
         learning_rate=learning_rate,
         momentum=momentum,
         weight_decay=weight_decay,
@@ -240,34 +269,31 @@ def init_optimizer(
 def sgd_step(
     model: ModelParams, grads: ModelParams, state: OptimizerState
 ) -> tuple[ModelParams, OptimizerState]:
-    """One classical-momentum update.
+    """One classical-momentum update, in place on ``model`` and ``state``.
 
     v <- momentum * v + (grad + weight_decay * param)
     param <- param - lr * v
 
     Weight decay is applied to every parameter array, biases included.
-    Raises on non-finite gradients so a poisoned round aborts loudly
-    instead of propagating NaNs into the global model.
+    Returns the same (model, state) objects. Raises on non-finite
+    gradients, before anything is written, so a poisoned round aborts
+    loudly instead of propagating NaNs into the global model.
     """
-    p_arrays = model.arrays()
-    g_arrays = grads.arrays()
-    if len(p_arrays) != len(g_arrays) or any(
-        p.shape != g.shape for p, g in zip(p_arrays, g_arrays)
-    ):
+    if grads._shapes != model._shapes:
         raise ContractViolation("gradient shapes do not match model shapes")
-    new_params: list[np.ndarray] = []
-    new_vel: list[np.ndarray] = []
-    for i, (p, g, v) in enumerate(zip(p_arrays, g_arrays, state.velocities)):
-        if not np.isfinite(g).all():
-            kind = "weight" if i % 2 == 0 else "bias"
-            raise FloatingPointError(
-                f"non-finite gradient in layer {i // 2} {kind}"
-            )
-        nv = state.momentum * v + (g + state.weight_decay * p)
-        new_vel.append(nv)
-        new_params.append(p - state.learning_rate * nv)
-    out = ModelParams(new_params[0::2], new_params[1::2])
-    return out, OptimizerState(new_vel, state.learning_rate, state.momentum, state.weight_decay)
+    if not np.isfinite(grads.flat).all():
+        for i, g in enumerate(grads.arrays()):
+            if not np.isfinite(g).all():
+                kind = "weight" if i % 2 == 0 else "bias"
+                raise FloatingPointError(f"non-finite gradient in layer {i // 2} {kind}")
+    p, v = model.flat, state.velocity.flat
+    step = state.weight_decay * p
+    step += grads.flat
+    v *= state.momentum
+    v += step
+    np.multiply(v, state.learning_rate, out=step)
+    p -= step
+    return model, state
 
 
 def finite_diff_check(
@@ -289,11 +315,7 @@ def finite_diff_check(
     _, dlogits = loss_fn(forward(model, batch))
     analytic = backprop(model, batch, dlogits)
     if param_term is not None:
-        _, extra = param_term(model)
-        analytic = ModelParams(
-            [a + e for a, e in zip(analytic.weights, extra.weights)],
-            [a + e for a, e in zip(analytic.biases, extra.biases)],
-        )
+        analytic.flat += param_term(model)[1].flat
 
     def total_loss(m: ModelParams) -> float:
         val = loss_fn(forward(m, batch))[0]
@@ -303,17 +325,15 @@ def finite_diff_check(
 
     worst = 0.0
     probe = model.copy()
-    for arr, g_arr in zip(probe.arrays(), analytic.arrays()):
-        flat = arr.reshape(-1)
-        g_flat = g_arr.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            up = total_loss(probe)
-            flat[j] = orig - step
-            down = total_loss(probe)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * step)
-            err = abs(g_flat[j] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
+    flat = probe.flat
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + step
+        up = total_loss(probe)
+        flat[j] = orig - step
+        down = total_loss(probe)
+        flat[j] = orig
+        numeric = (up - down) / (2.0 * step)
+        err = abs(analytic.flat[j] - numeric) / max(1.0, abs(numeric))
+        worst = max(worst, err)
     return worst

@@ -53,12 +53,15 @@ class ClientHistory:
 
     def __post_init__(self) -> None:
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 2:
-            raise ContractViolation(f"history probs must be 2-D, got {self.probs.shape}")
-        if self.probs.min() < 0.0:
+        if self.probs.ndim != 2 or self.probs.shape[0] == 0:
+            raise ContractViolation(
+                f"history probs must be 2-D with at least one row, got {self.probs.shape}"
+            )
+        # Written as "not all good" so that NaN, which fails every
+        # comparison, is rejected too.
+        if not (self.probs >= 0.0).all():
             raise ContractViolation("history rows must be probability vectors")
-        sums = self.probs.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-9:
+        if not (np.abs(self.probs.sum(axis=1) - 1.0) <= 1e-9).all():
             raise ContractViolation("history rows must sum to 1 within 1e-9")
 
     def to_bytes(self, client_id: int) -> bytes:
@@ -106,7 +109,9 @@ def alpha_schedule(round_t: int, t_total: int) -> float:
 
 def _check_teacher_rows(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.min() < 0.0 or np.abs(rows.sum(axis=-1) - 1.0).max() > 1e-9:
+    if rows.size == 0 or not (
+        (rows >= 0.0).all() and (np.abs(rows.sum(axis=-1) - 1.0) <= 1e-9).all()
+    ):
         raise ContractViolation("teacher rows must be probability vectors")
     return rows
 
@@ -138,7 +143,7 @@ def fuse_labels(teacher: np.ndarray, truth: np.ndarray, alpha: float,
 
 def _prior_probs(prior) -> np.ndarray:
     probs = np.asarray(getattr(prior, "probabilities", prior), dtype=np.float64)
-    if probs.ndim != 1 or probs.min() <= 0.0:
+    if probs.ndim != 1 or probs.size == 0 or not (probs > 0.0).all():
         raise ContractViolation("prior must be a strictly positive vector; smooth it first")
     return probs
 
@@ -237,13 +242,11 @@ def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]
 
 def proximal_term(params: ModelParams, anchor: ModelParams, mu: float) -> tuple[float, ModelParams]:
     """FedProx's pull (mu/2) * ||w - w_anchor||^2 and its gradient mu * (w - w_anchor)."""
+    diff = params.with_flat(params.flat - anchor.flat)
     sq = 0.0
-    grads = []
-    for w, w_a in zip(params.arrays(), anchor.arrays()):
-        diff = w - w_a
-        sq += float((diff * diff).sum())
-        grads.append(mu * diff)
-    return 0.5 * mu * sq, ModelParams(grads[0::2], grads[1::2])
+    for d in diff.arrays():
+        sq += float((d * d).sum())
+    return 0.5 * mu * sq, diff.with_flat(mu * diff.flat)
 
 
 def local_train_fedpsd(
@@ -274,6 +277,7 @@ def local_train_fedpsd(
     prox = cfg.algorithm == "fedprox"
     alpha = alpha_schedule(round_t, cfg.t_total) if fedpsd else 0.0
     params = global_params.copy()
+    grads = params.zeros_like()  # reused by every step's backprop
     opt = init_optimizer(params, lr, cfg.momentum, cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, LOCAL_SHUFFLE_STREAM, round_t, client_id])
 
@@ -315,14 +319,13 @@ def local_train_fedpsd(
                     f"non-finite loss at round {round_t}, client {client_id}, "
                     f"epoch {epoch + 1}, batch {batch_no + 1}"
                 )
-            grads = _backprop_from_acts(params, acts, dlogits, logits.shape)
+            _backprop_from_acts(params, acts, dlogits, logits.shape, out=grads)
             if prox:
                 prox_loss, prox_grads = proximal_term(params, global_params, cfg.prox_mu)
                 loss = loss + prox_loss
-                for g, g_prox in zip(grads.arrays(), prox_grads.arrays()):
-                    g += g_prox
+                grads.flat += prox_grads.flat
             try:
-                params, opt = sgd_step(params, grads, opt)
+                sgd_step(params, grads, opt)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"{exc} at round {round_t}, client {client_id}, "

@@ -15,8 +15,6 @@ import pytest
 from fedpsd.cli import run_ablation
 from fedpsd.config import ExperimentConfig
 from fedpsd.data import (
-    class_prior,
-    client_test_split,
     load_idx_files,
     partition_dirichlet,
     partition_sharding,
@@ -26,7 +24,6 @@ from fedpsd.engine import aggregate, build_federation, run_experiment, run_round
 from fedpsd.metrics import rounds_to_target
 from fedpsd.nn import (
     finite_diff_check,
-    forward,
     init_model,
     one_hot,
     softmax,

@@ -162,6 +162,19 @@ class TestLocalBaseline:
         for a, b in zip(params.arrays(), model.arrays()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedprox", "fedpsd"])
+    def test_leaves_global_params_untouched(self, algorithm):
+        # The trainer updates its parameters in place, so it must start
+        # from a copy; the global model is shared by every client.
+        ds = synth_generate(4, 8, 30, seed=5, spread=0.3)
+        prior = class_prior(ds.labels, 4, epsilon=1.0)
+        model = init_model([8, 6, 4], seed=5)
+        before = model.flat.tobytes()
+        cfg = ExperimentConfig(algorithm=algorithm, prox_mu=0.5, epochs=2, batch_size=16, seed=1)
+        params, _, _ = local_train_fedpsd(model, ds.features, ds.labels, prior, None, 0, 1, 0.05, cfg)
+        assert model.flat.tobytes() == before
+        assert not np.shares_memory(params.flat, model.flat)
+
     def test_fedprox_pull_toward_global(self):
         ds = _one_client(seed=1)
         model = init_model([8, 6, 2], seed=1)
@@ -249,6 +262,21 @@ class TestRunRound:
         only = clients[0]
         for a, b in zip(server.global_params.arrays(), only.last_params.arrays()):
             assert np.array_equal(a, b)
+
+    def test_threaded_round_leaves_pre_round_global_untouched(self):
+        # Worker threads all read the same global model object; an
+        # in-place write to it would be silent and order-dependent.
+        cfg = _small_cfg(algorithm="fedprox", prox_mu=0.1, workers=2, fraction=1.0)
+        from fedpsd.engine import _load_dataset_pair
+
+        train, test = _load_dataset_pair(cfg)
+        server, clients = build_federation(cfg, train, test)
+        pre_round = server.global_params
+        before = pre_round.flat.tobytes()
+        run_round(server, clients, train, test, cfg)
+        assert server.global_params is not pre_round
+        assert pre_round.flat.tobytes() == before
+        assert not any(np.shares_memory(c.last_params.flat, pre_round.flat) for c in clients.values())
 
     def test_report_contents(self):
         cfg = _small_cfg()

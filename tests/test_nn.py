@@ -95,6 +95,31 @@ class TestModelParams:
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
+    def test_views_write_through_to_flat(self):
+        model = init_model([3, 4, 2], seed=0)
+        model.weights[1][1, 2] = 7.5
+        model.biases[0][3] = -2.0
+        # flat layout: w0 (4x3), b0 (4), w1 (2x4), b1 (2)
+        assert model.flat[12 + 4 + 1 * 4 + 2] == 7.5
+        assert model.flat[12 + 3] == -2.0
+        assert model.flat.size == 12 + 4 + 8 + 2
+
+    def test_copy_and_zeros_like_share_no_memory(self):
+        model = init_model([3, 4, 2], seed=0)
+        for other in (model.copy(), model.zeros_like()):
+            assert not np.shares_memory(other.flat, model.flat)
+            for a, b in zip(other.arrays(), model.arrays()):
+                assert a.shape == b.shape and not np.shares_memory(a, b)
+        assert np.array_equal(model.copy().flat, model.flat)
+        assert not model.zeros_like().flat.any()
+
+    def test_construction_does_not_alias_inputs(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        model = ModelParams([w], [b])
+        assert not np.shares_memory(model.flat, w) and not np.shares_memory(model.flat, b)
+        w[0, 0] = 5.0
+        assert model.weights[0][0, 0] == 1.0
+
     def test_init_model_bad_sizes(self):
         with pytest.raises(ContractViolation):
             init_model([3], seed=0)
@@ -172,8 +197,9 @@ class TestSGD:
     def test_all_zero_is_identity(self):
         model = init_model([2, 3, 2], seed=0)
         state = init_optimizer(model, learning_rate=0.5)
+        before = model.copy()
         new, _ = sgd_step(model, model.zeros_like(), state)
-        for p, q in zip(model.arrays(), new.arrays()):
+        for p, q in zip(before.arrays(), new.arrays()):
             assert np.array_equal(p, q)
 
     def test_vanilla_scalar_step(self):
@@ -200,8 +226,9 @@ class TestSGD:
             model = init_model([3, 4, 2], seed=trial)
             grads = init_model([3, 4, 2], seed=trial + 100)
             state = init_optimizer(model, learning_rate=0.0, momentum=0.9, weight_decay=0.1)
+            before = model.copy()
             new, _ = sgd_step(model, grads, state)
-            for p, q in zip(model.arrays(), new.arrays()):
+            for p, q in zip(before.arrays(), new.arrays()):
                 assert np.array_equal(p, q)
 
     def test_weight_decay_folded_into_gradient(self):
@@ -219,6 +246,28 @@ class TestSGD:
         state = init_optimizer(model, learning_rate=0.1)
         with pytest.raises(FloatingPointError, match="layer 0"):
             sgd_step(model, grads, state)
+
+    def test_updates_in_place_and_returns_same_objects(self):
+        model = init_model([3, 4, 2], seed=0)
+        grads = init_model([3, 4, 2], seed=1)
+        state = init_optimizer(model, learning_rate=0.1, momentum=0.9)
+        flat, velocity = model.flat, state.velocity.flat
+        new, new_state = sgd_step(model, grads, state)
+        assert new is model and new_state is state
+        assert model.flat is flat and state.velocity.flat is velocity
+        assert np.array_equal(state.velocities[2], grads.weights[1])
+
+    def test_non_finite_gradient_writes_nothing(self):
+        model = init_model([3, 4, 2], seed=0)
+        state = init_optimizer(model, learning_rate=0.1, momentum=0.9, weight_decay=0.01)
+        sgd_step(model, init_model([3, 4, 2], seed=1), state)  # non-zero velocity
+        params_bytes, velocity_bytes = model.flat.tobytes(), state.velocity.flat.tobytes()
+        grads = init_model([3, 4, 2], seed=2)
+        grads.biases[1][1] = np.inf  # the last array: every other one passes first
+        with pytest.raises(FloatingPointError, match="non-finite gradient in layer 1 bias"):
+            sgd_step(model, grads, state)
+        assert model.flat.tobytes() == params_bytes
+        assert state.velocity.flat.tobytes() == velocity_bytes
 
 
 class TestTop1:
