@@ -9,6 +9,7 @@ decay 1e-5).
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -79,6 +80,8 @@ def _parse_int(raw: str, lo=None, hi=None):
 
 def _parse_float(raw: str, lo=None, hi=None, lo_open=False, hi_open=False):
     val = float(raw)
+    if not math.isfinite(val):  # NaN would pass every comparison below
+        raise ValueError(f"must be finite, got {val}")
     if lo is not None and (val < lo or (lo_open and val == lo)):
         raise ValueError(f"must be {'>' if lo_open else '>='} {lo}, got {val}")
     if hi is not None and (val > hi or (hi_open and val == hi)):

@@ -70,19 +70,43 @@ def emit_sweeps(series: MetricsSeries, path) -> None:
             fh.write(format_sweep(sweep) + "\n")
 
 
+def _parse_row(line: str) -> RoundRecord:
+    fields = line.split(",")
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 fields, got {len(fields)}")
+    r, avg, server, loss, sampled = fields
+    record = RoundRecord(
+        int(r), float(avg), float(server), float(loss),
+        tuple(int(c) for c in sampled.split(";")) if sampled else (),
+    )
+    for name in ("avg_client_top1", "server_top1"):
+        value = getattr(record, name)
+        if not 0.0 <= value <= 1.0:  # also false for NaN
+            raise ValueError(f"{name} must be a finite value in [0, 1], got {value}")
+    return record
+
+
 def load_metrics(path) -> MetricsSeries:
-    """Parse a CSV produced by emit_metrics (sweeps are not stored there)."""
+    """Parse a CSV produced by emit_metrics (sweeps are not stored there).
+
+    A row with the wrong field count, a non-numeric field, or an
+    accuracy that is not finite or lies outside [0, 1] raises
+    ValueError naming the file and its 1-based line.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [
+            (lineno, line.rstrip("\n"))
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip()
+        ]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"{path}: not a metrics CSV (unexpected header)")
     rounds = []
-    for line in lines[1:]:
-        r, avg, server, loss, sampled = line.split(",")
-        ids = tuple(int(c) for c in sampled.split(";")) if sampled else ()
-        rounds.append(
-            RoundRecord(int(r), float(avg), float(server), float(loss), ids)
-        )
+    for lineno, line in lines[1:]:
+        try:
+            rounds.append(_parse_row(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return MetricsSeries(rounds=rounds)
 
 

@@ -192,13 +192,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
+def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ContractViolation(
             f"labels must lie in [0, {num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
+
+
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    _check_label_range(labels, num_classes)
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -213,11 +217,17 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     b = logits.shape[0]
+    # A negative label would index from the end instead of failing.
+    _check_label_range(labels, logits.shape[1])
+    rows = np.arange(b)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_z
-    loss = float(-log_p[np.arange(b), labels].mean())
-    dlogits = (np.exp(log_p) - one_hot(labels, logits.shape[1])) / b
+    loss = float(-log_p[rows, labels].mean())
+    # (p - onehot) / b without the one-hot: the same IEEE operations.
+    dlogits = np.exp(log_p)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= b
     return loss, dlogits
 
 

@@ -151,6 +151,21 @@ class TestSummarize:
         assert main(["summarize", str(path), "--target", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("4,0.8,0.7", "line 5: expected 5 fields, got 3"),
+            ("4,0.8,nan,0.4,1", "line 5: server_top1 must be a finite value"),
+        ],
+        ids=["short", "nan_accuracy"],
+    )
+    def test_malformed_row_exits_one(self, tmp_path, capsys, row, problem):
+        path = self._metrics_file(tmp_path)
+        path.write_text(path.read_text() + row + "\n")
+        assert main(["summarize", str(path), "--target", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and problem in err
+
     def test_not_a_metrics_file(self, tmp_path, capsys):
         path = tmp_path / "junk.csv"
         path.write_text("hello\n")

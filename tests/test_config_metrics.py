@@ -74,6 +74,11 @@ class TestParseConfig:
             parse_config("C = 1.2\n")
         assert parse_config("C = 1\n").fraction == 1.0
 
+    @pytest.mark.parametrize("text", ["C = nan", "base_lr = nan", "prox_mu = inf", "dirichlet_alpha = -inf"])
+    def test_non_finite_float_rejected(self, text):
+        with pytest.raises(ConfigError, match="line 1: .*must be finite"):
+            parse_config(text + "\n")
+
     def test_bool_spellings(self):
         assert parse_config("rhpk = false\n").rhpk is False
         assert parse_config("rhpk = 1\n").rhpk is True
@@ -135,6 +140,24 @@ class TestMetrics:
         path = tmp_path / "x.csv"
         path.write_text("nope\n1,2,3,4,5\n")
         with pytest.raises(ValueError, match="header"):
+            load_metrics(path)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("2,0.5,0.4", "expected 5 fields, got 3"),
+            ("2,0.5,abc,1.0,1", "could not convert string to float: 'abc'"),
+            ("2,0.5,0.4,1.0,1;x", "invalid literal for int\\(\\) with base 10: 'x'"),
+            ("2,0.5,nan,1.0,1", "server_top1 must be a finite value in \\[0, 1\\]"),
+            ("2,1.5,0.4,1.0,1", "avg_client_top1 must be a finite value"),
+            ("2,-inf,0.4,1.0,1", "avg_client_top1 must be a finite value"),
+        ],
+        ids=["short", "text_accuracy", "text_client_id", "nan_accuracy", "accuracy_above_one", "minus_inf"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{CSV_HEADER}\n1,0.1,0.2,2.5,0\n\n{row}\n")
+        with pytest.raises(ValueError, match=f"m.csv: line 4: {problem}"):
             load_metrics(path)
 
     def test_final_smoothing(self):

@@ -1,9 +1,13 @@
 """Round loop, aggregation, baselines, and end-to-end determinism."""
+import dataclasses
 import math
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fedpsd import engine
 from fedpsd.config import LOCAL_SHUFFLE_STREAM, ExperimentConfig
 from fedpsd.data import LabeledDataset, class_prior, save_idx, synth_generate
 from fedpsd.engine import (
@@ -263,9 +267,10 @@ class TestRunRound:
         for a, b in zip(server.global_params.arrays(), only.last_params.arrays()):
             assert np.array_equal(a, b)
 
-    def test_threaded_round_leaves_pre_round_global_untouched(self):
+    def test_threaded_round_leaves_pre_round_global_untouched(self, monkeypatch):
         # Worker threads all read the same global model object; an
         # in-place write to it would be silent and order-dependent.
+        monkeypatch.setattr(engine, "POOL_MIN_PARAMS", 1)
         cfg = _small_cfg(algorithm="fedprox", prox_mu=0.1, workers=2, fraction=1.0)
         from fedpsd.engine import _load_dataset_pair
 
@@ -299,6 +304,64 @@ class TestRunRound:
         )
 
 
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Records the max_workers of each pool run_round builds, and the
+    thread each client's training runs on."""
+    log = SimpleNamespace(pools=[], threads=[])
+    real_pool, real_train = engine.ThreadPoolExecutor, engine._train_one
+
+    class RecordingPool(real_pool):
+        def __init__(self, max_workers):
+            log.pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def train_one(*args):
+        log.threads.append(threading.get_ident())
+        return real_train(*args)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(engine, "_train_one", train_one)
+    return log
+
+
+def _one_round(cfg):
+    from fedpsd.engine import _load_dataset_pair
+
+    train, test = _load_dataset_pair(cfg)
+    server, clients = build_federation(cfg, train, test)
+    return run_round(server, clients, train, test, cfg), server
+
+
+class TestPoolGate:
+    def test_small_model_trains_on_calling_thread(self, pool_log):
+        cfg = _small_cfg(workers=2)
+        report, server = _one_round(cfg)
+        assert server.global_params.flat.size < engine.POOL_MIN_PARAMS
+        assert pool_log.pools == []
+        assert pool_log.threads == [threading.get_ident()] * len(report.sampled)
+
+    def test_large_model_uses_pool_with_same_report(self, pool_log):
+        cfg = _small_cfg(synth_dim=256, hidden=(128,), algorithm="fedpsd", t_total=1)
+        serial, serial_server = _one_round(cfg)
+        assert pool_log.pools == []
+        threaded, threaded_server = _one_round(dataclasses.replace(cfg, workers=2))
+        assert threaded_server.global_params.flat.size >= engine.POOL_MIN_PARAMS
+        assert pool_log.pools == [2]
+        assert threading.get_ident() not in pool_log.threads[len(serial.sampled):]
+        assert threaded == serial
+        assert threaded_server.global_params.flat.tobytes() == serial_server.global_params.flat.tobytes()
+
+    @pytest.mark.parametrize("above, pools", [(0, [2]), (1, [])])
+    def test_threshold_is_inclusive(self, pool_log, monkeypatch, above, pools):
+        cfg = _small_cfg(workers=2)
+        size = _one_round(cfg)[1].global_params.flat.size
+        pool_log.pools.clear()
+        monkeypatch.setattr(engine, "POOL_MIN_PARAMS", size + above)
+        _one_round(cfg)
+        assert pool_log.pools == pools
+
+
 class TestRunExperiment:
     def test_single_round_series(self):
         series = run_experiment(_small_cfg(t_total=1))
@@ -310,7 +373,8 @@ class TestRunExperiment:
         b = run_experiment(_small_cfg())
         assert a.rounds == b.rounds
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(engine, "POOL_MIN_PARAMS", 1)
         serial = run_experiment(_small_cfg(algorithm="fedpsd"))
         threaded = run_experiment(_small_cfg(algorithm="fedpsd", workers=4))
         assert serial.rounds == threaded.rounds

@@ -185,6 +185,22 @@ class TestBackprop:
             assert err < 1e-4
 
 
+class TestSoftmaxCE:
+    def test_gradient_matches_one_hot_form_bit_exact(self):
+        rng = np.random.default_rng(21)
+        logits = rng.standard_normal((7, 5)) * 3.0
+        labels = rng.integers(0, 5, size=7)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        _, dlogits = softmax_ce(logits, labels)
+        assert dlogits.tobytes() == ((np.exp(log_p) - one_hot(labels, 5)) / 7).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_out_of_range_rejected(self, bad):
+        with pytest.raises(ContractViolation, match=r"labels must lie in \[0, 3\)"):
+            softmax_ce(np.zeros((2, 3)), np.array([0, bad]))
+
+
 class TestFiniteDiffSelfTest:
     def test_linear_model_plain_ce_single_sample(self):
         model = _single_layer(np.random.default_rng(11).standard_normal((3, 4)) * 0.5, np.zeros(3))

@@ -1,0 +1,48 @@
+"""The benchmark keeps a workload on each side of the thread-pool gate.
+
+``engine.run_round`` trains on a thread pool only for models with at
+least ``engine.POOL_MIN_PARAMS`` parameters. This reads the benchmark's
+workload configs (``perfbench/run.py``, imported, never run) and checks
+that the image workload measures the pooled side and the two small
+workloads the calling-thread side, so a change to the threshold or to a
+workload cannot leave one side unmeasured. No experiment runs.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from fedpsd import engine
+from fedpsd.config import parse_config
+from fedpsd.nn import init_model
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+POOLED = {"image_fedpsd": True, "desk_fedpsd": False, "many_clients_fedprox": False}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))  # run.py imports its sibling modules
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_every_workload_is_classified(workloads):
+    assert set(workloads) == set(POOLED)
+
+
+@pytest.mark.parametrize("name", sorted(POOLED))
+def test_workload_side_of_pool_gate(workloads, name):
+    template, rounds, _ = workloads[name]
+    cfg = parse_config(template.format(seed=1, rounds=rounds, inputs="x"))
+    if cfg.dataset == "mnist":
+        sizes = [784, *cfg.hidden, 10]
+    else:
+        sizes = [cfg.synth_dim, *cfg.hidden, cfg.synth_classes]
+    params = init_model(sizes, seed=0).flat.size
+    assert (params >= engine.POOL_MIN_PARAMS) == POOLED[name], (
+        f"{name}: {params} parameters against a threshold of {engine.POOL_MIN_PARAMS}"
+    )
