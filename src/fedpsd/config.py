@@ -176,7 +176,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def echo_config(cfg: ExperimentConfig) -> str:
-    """Canonical text for a config; parse_config(echo_config(c)) == c."""
+    """Canonical text for a config; parse_config(echo_config(c)) == c.
+
+    A value the format cannot carry raises ``ConfigError`` naming its
+    key: one holding ``#`` (a comment to the parser) or a line break,
+    or with whitespace at either end (stripped on parse). Values are
+    never quoted.
+    """
     lines = []
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
@@ -188,5 +194,10 @@ def echo_config(cfg: ExperimentConfig) -> str:
             rendered = repr(value)
         else:
             rendered = str(value)
+        if "#" in rendered or rendered != rendered.strip() or len(rendered.splitlines()) > 1:
+            raise ConfigError(
+                f"{_FIELD_TO_KEY[f.name]!r}: {rendered!r} would not read back; values "
+                "cannot hold '#' or a line break, or start or end with whitespace"
+            )
         lines.append(f"{_FIELD_TO_KEY[f.name]} = {rendered}")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,8 @@ Covers the IDX image format (read and write), a synthetic
 Gaussian-blob generator for desk-scale experiments, the two client
 partitioning strategies (pathological sharding and per-client
 Dirichlet proportions), matched per-client test splits, and smoothed
-class priors.
+class priors. IDX pixels stay the file's bytes; a consumer reads
+float64 rows, pixel / 255, through ``LabeledDataset.rows``.
 """
 from __future__ import annotations
 
@@ -40,21 +41,34 @@ class PartitionError(ValueError):
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix (M, d) float64 plus integer labels in [0, num_classes)."""
+    """Samples (M, d) plus integer labels in [0, num_classes).
 
-    features: np.ndarray
+    ``values`` holds the float64 features; whatever array is passed is
+    converted to float64. A set built by ``load_idx`` is pixel-backed
+    instead (``pixels=True``): ``values`` is the uint8 pixel array, a
+    view over the file's bytes, and a pixel reads as pixel / 255.
+    Consumers read float64 rows through ``rows``, which converts only
+    the rows asked for; ``features`` builds the whole float64 matrix.
+    """
+
+    values: np.ndarray
     labels: np.ndarray
     num_classes: int
+    pixels: bool = field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.pixels:
+            if self.values.dtype != np.uint8:
+                raise ContractViolation(f"pixels must be uint8, got {self.values.dtype}")
+        else:
+            self.values = np.asarray(self.values, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ContractViolation(f"features must be (M>=1, d), got {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
+        if self.values.ndim != 2 or self.values.shape[0] < 1:
+            raise ContractViolation(f"features must be (M>=1, d), got {self.values.shape}")
+        if self.labels.shape != (self.values.shape[0],):
             raise ContractViolation(
                 f"labels length {self.labels.shape} does not match "
-                f"{self.features.shape[0]} feature rows"
+                f"{self.values.shape[0]} feature rows"
             )
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ContractViolation(
@@ -62,13 +76,29 @@ class LabeledDataset:
                 f"[{self.labels.min()}, {self.labels.max()}]"
             )
 
+    def rows(self, idx=slice(None)) -> np.ndarray:
+        """Float64 feature rows ``idx``.
+
+        A pixel reads as one IEEE division by 255, the same operation
+        as converting the whole matrix up front, so the rows are the
+        same to the last bit.
+        """
+        if self.pixels:
+            return self.values[idx] / 255.0
+        return self.values[idx]
+
+    @property
+    def features(self) -> np.ndarray:
+        """The whole (M, d) float64 feature matrix."""
+        return self.rows()
+
     @property
     def num_samples(self) -> int:
-        return self.features.shape[0]
+        return self.values.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.values.shape[1]
 
 
 @dataclass
@@ -112,10 +142,11 @@ def _read_be_u32(data: bytes, offset: int, what: str) -> int:
 
 
 def load_idx(images_bytes: bytes, labels_bytes: bytes) -> LabeledDataset:
-    """Parse an IDX image/label file pair into a dataset.
+    """Parse an IDX image/label file pair into a pixel-backed dataset.
 
-    Pixels are scaled by 1/255 into [0, 1] and each image is flattened
-    row-major to a rows*cols feature vector.
+    Each image is flattened row-major to a rows*cols feature vector.
+    The pixels stay bytes, a zero-copy view over ``images_bytes``;
+    ``rows`` reads them as pixel / 255, in [0, 1].
     """
     magic = _read_be_u32(images_bytes, 0, "images header")
     if magic != IMAGES_MAGIC:
@@ -146,10 +177,9 @@ def load_idx(images_bytes: bytes, labels_bytes: bytes) -> LabeledDataset:
             f"count mismatch at byte offset 4: {count} images but {lcount} labels"
         )
 
-    pixels = np.frombuffer(images_bytes, dtype=np.uint8, offset=16)
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    pixels = np.frombuffer(images_bytes, dtype=np.uint8, offset=16).reshape(count, rows * cols)
     labels = np.frombuffer(labels_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    return LabeledDataset(features, labels, num_classes=int(labels.max()) + 1)
+    return LabeledDataset(pixels, labels, num_classes=int(labels.max()) + 1, pixels=True)
 
 
 def save_idx(dataset: LabeledDataset, rows: int = 0, cols: int = 0) -> tuple[bytes, bytes]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,14 +124,14 @@ def _train_one(
 ) -> tuple[ModelParams, ClientHistory | None, list[float]]:
     idx = client.partition.train_indices
     return local_train_fedpsd(
-        server.global_params, train.features[idx], train.labels[idx], client.prior,
+        server.global_params, train.rows(idx), train.labels[idx], client.prior,
         client.history, client.client_id, server.round, lr, cfg,
     )
 
 
 def _local_accuracy(params: ModelParams, client: ClientState, test: LabeledDataset) -> float:
     idx = client.partition.test_indices
-    return top1_accuracy(forward(params, test.features[idx]), test.labels[idx])
+    return top1_accuracy(forward(params, test.rows(idx)), test.labels[idx])
 
 
 def run_round(
@@ -170,7 +170,7 @@ def run_round(
 
     server.global_params = aggregate(updates, client_ids=sampled)
     server.round = t + 1
-    server_acc = top1_accuracy(forward(server.global_params, test.features), test.labels)
+    server_acc = top1_accuracy(forward(server.global_params, test.rows()), test.labels)
     return RoundReport(
         round=t,
         sampled=sampled,
@@ -221,7 +221,9 @@ def _load_dataset_pair(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDa
         # Each IDX file infers its class count from its own top label; the
         # train set's count is the task's, so a test set missing the top
         # class still lines up (and a label outside it still raises).
-        return train, replace(test, num_classes=train.num_classes)
+        # The server eval reads the whole test set every round, so it is
+        # converted to float64 once; train rows are converted per client.
+        return train, LabeledDataset(test.rows(), test.labels, train.num_classes)
     raise ContractViolation(f"unknown dataset {cfg.dataset!r}")
 
 

@@ -95,6 +95,17 @@ class TestParseConfig:
     def test_echo_round_trip_defaults(self):
         assert parse_config(echo_config(ExperimentConfig())) == ExperimentConfig()
 
+    @pytest.mark.parametrize(
+        "path", ["data#1", " data", "data ", "a\nseed = 5", "a\rb", "a\x0bb", "\n"]
+    )
+    def test_echo_rejects_value_that_would_not_read_back(self, path):
+        with pytest.raises(ConfigError, match="'mnist_dir'"):
+            echo_config(ExperimentConfig(mnist_dir=path))
+
+    def test_echo_keeps_interior_space(self):
+        cfg = ExperimentConfig(mnist_dir="my data/mnist")
+        assert parse_config(echo_config(cfg)) == cfg
+
 
 def _series():
     rounds = [

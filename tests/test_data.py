@@ -78,6 +78,32 @@ class TestIdx:
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
 
+    def test_rows_equal_float_conversion_for_every_byte(self):
+        values = np.arange(256, dtype=np.uint8)
+        images, labels = _idx_pair(values.reshape(64, 4).tolist(), [0] * 64)
+        ds = load_idx(images, labels)
+        want = values.reshape(64, 4).astype(np.float64) / 255.0
+        assert ds.rows().dtype == np.float64
+        assert ds.rows().tobytes() == want.tobytes()
+        idx = np.array([63, 0, 17, 17])
+        assert ds.rows(idx).tobytes() == want[idx].tobytes()
+        assert ds.features.tobytes() == want.tobytes()
+
+    def test_load_keeps_pixels_as_a_view_of_the_bytes(self):
+        images, labels = _idx_pair([[0, 255, 9, 1], [3, 4, 5, 6]], [0, 1])
+        ds = load_idx(images, labels)
+        assert ds.pixels and ds.values.dtype == np.uint8
+        assert np.shares_memory(ds.values, np.frombuffer(images, dtype=np.uint8))
+
+    def test_uint8_array_given_to_constructor_reads_as_integers(self):
+        ds = LabeledDataset(np.array([[0, 255], [7, 1]], dtype=np.uint8), [0, 1], num_classes=2)
+        assert not ds.pixels and ds.values.dtype == np.float64
+        assert np.array_equal(ds.rows(), [[0.0, 255.0], [7.0, 1.0]])
+
+    def test_pixel_backed_set_needs_bytes(self):
+        with pytest.raises(ContractViolation, match="uint8"):
+            LabeledDataset(np.zeros((2, 2)), [0, 1], num_classes=2, pixels=True)
+
     def test_save_rejects_out_of_range(self):
         ds = LabeledDataset(np.array([[1.5, 0.0]]), np.array([0]), num_classes=1)
         with pytest.raises(ContractViolation):

@@ -435,3 +435,22 @@ class TestIdxClassCount:
         cfg = ExperimentConfig(mnist_dir=str(tmp_path), **self.CFG)
         with pytest.raises(ContractViolation, match=r"labels must lie in \[0, 3\)"):
             run_experiment(cfg)
+
+    def test_hot_paths_read_pixel_rows_without_materialising(self, tmp_path, monkeypatch):
+        _write_idx_dir(tmp_path, _idx_split(4, 20, seed=0), _idx_split(4, 10, seed=1))
+        cfg = ExperimentConfig(mnist_dir=str(tmp_path), **{**self.CFG, "t_total": 2, "sweep_every": 1})
+        train, test = engine._load_dataset_pair(cfg)
+        # Train rows stay bytes; the whole test set is read every round,
+        # so it is converted once.
+        assert train.pixels and not test.pixels
+        whole = LabeledDataset.features.fget
+
+        def refuse_pixels(ds):
+            if ds.pixels:
+                raise AssertionError("a pixel-backed set was materialised through .features")
+            return whole(ds)
+
+        monkeypatch.setattr(LabeledDataset, "features", property(refuse_pixels))
+        series = run_experiment(cfg)
+        assert [r.round for r in series.rounds] == [1, 2]
+        assert [s.round for s in series.sweeps] == [1, 2]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fedpsd.config import ExperimentConfig
+from fedpsd.data import LabeledDataset, save_idx, synth_generate
 from fedpsd.engine import run_experiment
 from fedpsd.metrics import emit_metrics, emit_sweeps
 
@@ -66,3 +67,32 @@ def test_output_bytes_match_golden(name, tmp_path):
         (tmp_path / "metrics.csv").read_bytes() + (tmp_path / "sweeps.csv").read_bytes()
     ).hexdigest()
     assert digest == want, f"{name}: sha256 {digest} on {_build()}"
+
+
+# The same pins for a run that reads its data from IDX files: a seeded
+# 200-train / 50-test blob corpus quantized to bytes by save_idx.
+IDX_GOLDEN = "dc353a2442b122ee90f26b7da0cc293a8fafb7872420b9507000701363f63944"
+
+
+def _write_idx_corpus(directory) -> None:
+    for prefix, per_class, stream in (("train", 40, 0), ("t10k", 10, 1)):
+        blobs = synth_generate(5, 16, per_class, seed=4, spread=0.3, sample_stream=stream)
+        split = LabeledDataset(np.clip(0.5 + 0.5 * blobs.features, 0.0, 1.0), blobs.labels, 5)
+        images, labels = save_idx(split, rows=4, cols=4)
+        (directory / f"{prefix}-images-idx3-ubyte").write_bytes(images)
+        (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(labels)
+
+
+def test_idx_output_bytes_match_golden(tmp_path):
+    _write_idx_corpus(tmp_path)
+    cfg = ExperimentConfig(**{
+        **_BASE, "dataset": "mnist", "mnist_dir": str(tmp_path), "algorithm": "fedpsd",
+        "num_clients": 5, "fraction": 0.6, "t_total": 3, "test_budget": 10, "sweep_every": 1,
+    })
+    series = run_experiment(cfg)
+    emit_metrics(series, tmp_path / "metrics.csv")
+    emit_sweeps(series, tmp_path / "sweeps.csv")
+    digest = hashlib.sha256(
+        (tmp_path / "metrics.csv").read_bytes() + (tmp_path / "sweeps.csv").read_bytes()
+    ).hexdigest()
+    assert digest == IDX_GOLDEN, f"idx: sha256 {digest} on {_build()}"

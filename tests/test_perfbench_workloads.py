@@ -1,4 +1,4 @@
-"""The benchmark keeps a workload on each side of the thread-pool gate.
+"""The benchmark's workloads and the input files it renders.
 
 ``engine.run_round`` trains on a thread pool only for models with at
 least ``engine.POOL_MIN_PARAMS`` parameters. This reads the benchmark's
@@ -6,14 +6,20 @@ workload configs (``perfbench/run.py``, imported, never run) and checks
 that the image workload measures the pooled side and the two small
 workloads the calling-thread side, so a change to the threshold or to a
 workload cannot leave one side unmeasured. No experiment runs.
+
+It also renders a tiny split with ``perfbench/inputs.py`` (imported,
+never edited) and checks that ``load_idx_files`` reads it back
+pixel-backed, with rows equal to the float64 conversion.
 """
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedpsd import engine
 from fedpsd.config import parse_config
+from fedpsd.data import load_idx_files
 from fedpsd.nn import init_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,3 +52,14 @@ def test_workload_side_of_pool_gate(workloads, name):
     assert (params >= engine.POOL_MIN_PARAMS) == POOLED[name], (
         f"{name}: {params} parameters against a threshold of {engine.POOL_MIN_PARAMS}"
     )
+
+
+def test_rendered_inputs_read_back_pixel_backed(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.write_split(tmp_path, "images", "labels", per_class=3, rng=np.random.default_rng(5))
+    ds = load_idx_files(tmp_path / "images", tmp_path / "labels")
+    assert ds.pixels and ds.values.shape == (30, 784)
+    assert np.array_equal(np.bincount(ds.labels), [3] * 10)
+    assert ds.rows().tobytes() == (ds.values.astype(np.float64) / 255.0).tobytes()

@@ -2,12 +2,15 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedpsd.config import ExperimentConfig, echo_config, parse_config
+from fedpsd.config import ConfigError, ExperimentConfig, echo_config, parse_config
+from fedpsd.data import LabeledDataset, partition_dirichlet, partition_sharding
 from fedpsd.engine import aggregate
 from fedpsd.nn import init_model
+from fedpsd.psd import ClientHistory
 
 
 def _floats(lo, hi=None, exclude_min=False, exclude_max=False):
@@ -21,7 +24,8 @@ def _floats(lo, hi=None, exclude_min=False, exclude_max=False):
 # key's parser accepts.
 _FIELDS = dict(
     dataset=st.sampled_from(("synthetic", "mnist")),
-    mnist_dir=st.text(alphabet="abcXYZ0189/_.-", max_size=24),
+    # '#', space and newline may draw a value echo_config must reject.
+    mnist_dir=st.text(alphabet="abcXYZ0189/_.-# \n", max_size=24),
     partition=st.sampled_from(("sharding", "dirichlet")),
     shards_per_client=st.integers(min_value=1),
     dirichlet_alpha=_floats(0.0, exclude_min=True),
@@ -61,7 +65,13 @@ def test_strategy_covers_every_config_field():
 
 @given(st.builds(ExperimentConfig, **_FIELDS))
 def test_echo_then_parse_is_identity(cfg):
-    assert parse_config(echo_config(cfg)) == cfg
+    """Every config either reads back unchanged or is refused when echoed."""
+    path = cfg.mnist_dir
+    if "#" in path or "\n" in path or path != path.strip():
+        with pytest.raises(ConfigError, match="'mnist_dir'"):
+            echo_config(cfg)
+    else:
+        assert parse_config(echo_config(cfg)) == cfg
 
 
 @st.composite
@@ -82,3 +92,67 @@ def test_aggregate_matches_weighted_average(updates):
         weights=[n for _, n in updates],
     )
     np.testing.assert_allclose(aggregate(updates).flat, expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _labeled(draw):
+    classes = draw(st.integers(min_value=1, max_value=6))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=classes - 1), min_size=1, max_size=120))
+    return LabeledDataset(np.zeros((len(labels), 1)), labels, num_classes=classes)
+
+
+def _assert_disjoint_in_range(partitions, m):
+    every = np.concatenate([p.train_indices for p in partitions])
+    assert np.unique(every).size == every.size
+    assert every.min() >= 0 and every.max() < m
+
+
+@settings(deadline=None)
+@given(_labeled(), st.data())
+def test_sharding_gives_disjoint_equal_shares(ds, data):
+    m = ds.num_samples
+    k = data.draw(st.integers(min_value=1, max_value=m))
+    s = data.draw(st.integers(min_value=1, max_value=m // k))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    partitions = partition_sharding(ds, s, k, seed)
+    assert [p.client_id for p in partitions] == list(range(k))
+    assert all(p.n_k == s * (m // (s * k)) for p in partitions)
+    _assert_disjoint_in_range(partitions, m)
+
+
+@settings(deadline=None)
+@given(_labeled(), st.data())
+def test_dirichlet_gives_disjoint_bounded_shares(ds, data):
+    m = ds.num_samples
+    k = data.draw(st.integers(min_value=1, max_value=m))
+    alpha = data.draw(_floats(1e-3, 100.0))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    partitions = partition_dirichlet(ds, alpha, k, seed)
+    assert [p.client_id for p in partitions] == list(range(k))
+    assert all(1 <= p.n_k <= m // k for p in partitions)
+    _assert_disjoint_in_range(partitions, m)
+
+
+@st.composite
+def _histories(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    l = draw(st.integers(min_value=1, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    probs = np.random.default_rng(seed).dirichlet(np.ones(l), size=n)
+    recorded_round = draw(st.integers(min_value=0, max_value=2**63 - 1))
+    return ClientHistory(probs, recorded_round)
+
+
+@given(_histories(), st.integers(min_value=0, max_value=2**63 - 1))
+def test_history_wire_round_trip(hist, client_id):
+    cid, back = ClientHistory.from_bytes(hist.to_bytes(client_id))
+    assert cid == client_id and back.recorded_round == hist.recorded_round
+    assert back.probs.tobytes() == hist.probs.tobytes()
+
+
+@given(_histories())
+def test_history_every_strict_prefix_is_rejected(hist):
+    record = hist.to_bytes(client_id=1)
+    for end in range(len(record)):
+        with pytest.raises(ValueError, match="byte offset"):
+            ClientHistory.from_bytes(record[:end])
