@@ -55,7 +55,7 @@ def main() -> None:
     rng = np.random.default_rng(3)
     features, labels = make_skewed(rng)
     prior = class_prior(labels, num_classes=2, epsilon=1.0)
-    print(f"train prior: {np.round(prior.probabilities, 3)} (95 vs 5 samples)")
+    print(f"train prior: {np.round(prior, 3)} (95 vs 5 samples)")
 
     test_x0 = rng.normal(loc=(-1.0, 0.0), scale=0.9, size=(500, 2))
     test_x1 = rng.normal(loc=(+1.0, 0.0), scale=0.9, size=(500, 2))

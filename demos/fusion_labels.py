@@ -27,8 +27,8 @@ def main() -> None:
     print(f"truth one-hot:               {truth}")
     for alpha in (0.0, 0.25, 0.49, 0.75, 1.0):
         fused = fuse_labels(teacher, truth, alpha)
-        marker = "argmax keeps truth" if int(np.argmax(fused.probs)) == 2 else "teacher wins"
-        print(f"  alpha {alpha:.2f}: {np.round(fused.probs, 3)}  ({marker})")
+        marker = "argmax keeps truth" if int(np.argmax(fused)) == 2 else "teacher wins"
+        print(f"  alpha {alpha:.2f}: {np.round(fused, 3)}  ({marker})")
     print()
 
     rows = np.array([[0.8, 0.1, 0.05, 0.05], [0.2, 0.6, 0.1, 0.1]])

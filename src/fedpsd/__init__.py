@@ -5,46 +5,19 @@ self-distillation, calibrated logits loss) next to FedAvg/FedProx
 baselines, non-IID partitioners, and a seeded round engine whose runs
 reproduce byte-for-byte.
 """
-from .config import ConfigError, ExperimentConfig, echo_config, parse_config
+from .config import ConfigError, ExperimentConfig
 from .data import (
-    ClassPrior,
-    ClientPartition,
     IdxParseError,
-    LabeledDataset,
     PartitionError,
     class_prior,
-    client_test_split,
-    load_idx,
-    load_idx_files,
     partition_dirichlet,
     partition_sharding,
-    save_idx,
     synth_generate,
 )
-from .engine import (
-    ClientState,
-    RoundReport,
-    ServerState,
-    aggregate,
-    build_federation,
-    lr_schedule,
-    run_experiment,
-    run_round,
-    sample_clients,
-)
-from .metrics import (
-    MetricsSeries,
-    RoundRecord,
-    SweepRecord,
-    emit_metrics,
-    emit_sweeps,
-    load_metrics,
-    rounds_to_target,
-)
+from .engine import aggregate, run_experiment
 from .nn import (
     ContractViolation,
     ModelParams,
-    OptimizerState,
     backprop,
     finite_diff_check,
     forward,
@@ -52,13 +25,10 @@ from .nn import (
     init_optimizer,
     one_hot,
     sgd_step,
-    softmax,
     softmax_ce,
-    top1_accuracy,
 )
 from .psd import (
     ClientHistory,
-    FusionLabel,
     alpha_schedule,
     balanced_prediction,
     calibrated_ce_loss,
@@ -67,66 +37,38 @@ from .psd import (
     proximal_term,
     psd_kd_loss,
 )
-from .cli import AblationRow, run_ablation
+from .cli import run_ablation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationRow",
-    "ClassPrior",
     "ClientHistory",
-    "ClientPartition",
-    "ClientState",
     "ConfigError",
     "ContractViolation",
     "ExperimentConfig",
-    "FusionLabel",
     "IdxParseError",
-    "LabeledDataset",
-    "MetricsSeries",
     "ModelParams",
-    "OptimizerState",
     "PartitionError",
-    "RoundRecord",
-    "RoundReport",
-    "ServerState",
-    "SweepRecord",
     "aggregate",
     "alpha_schedule",
     "backprop",
     "balanced_prediction",
-    "build_federation",
     "calibrated_ce_loss",
     "class_prior",
-    "client_test_split",
-    "echo_config",
-    "emit_metrics",
-    "emit_sweeps",
     "finite_diff_check",
     "forward",
     "fuse_labels",
     "init_model",
     "init_optimizer",
-    "load_idx",
-    "load_idx_files",
-    "load_metrics",
     "local_train_fedpsd",
-    "lr_schedule",
     "one_hot",
-    "parse_config",
     "partition_dirichlet",
     "partition_sharding",
     "proximal_term",
     "psd_kd_loss",
-    "rounds_to_target",
     "run_ablation",
     "run_experiment",
-    "run_round",
-    "sample_clients",
-    "save_idx",
     "sgd_step",
-    "softmax",
     "softmax_ce",
     "synth_generate",
-    "top1_accuracy",
 ]

@@ -25,6 +25,7 @@ from .metrics import (
     CSV_HEADER,
     SWEEP_HEADER,
     MetricsSeries,
+    csv_writer,
     emit_metrics,
     format_round,
     format_sweep,
@@ -96,11 +97,9 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None, log=None) -> list[Ablation
         if out_dir is not None:
             emit_metrics(series, Path(out_dir) / f"{name}_metrics.csv")
     if out_dir is not None:
-        path = Path(out_dir) / "ablation.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(ABLATION_HEADER + "\n")
+        with csv_writer(Path(out_dir) / "ablation.csv", ABLATION_HEADER) as write_row:
             for row in rows:
-                fh.write(format_ablation_row(row) + "\n")
+                write_row(format_ablation_row(row))
     return rows
 
 
@@ -118,27 +117,20 @@ def _cmd_run(args, stdout) -> int:
     (out_dir / "config.txt").write_text(echo, encoding="utf-8", newline="\n")
 
     metrics_path = out_dir / "metrics.csv"
-    sweeps_path = out_dir / "sweeps.csv"
-    with open(metrics_path, "w", encoding="utf-8", newline="\n") as mfh, open(
-        sweeps_path, "w", encoding="utf-8", newline="\n"
-    ) as sfh:
-        mfh.write(CSV_HEADER + "\n")
-        mfh.flush()
-        sfh.write(SWEEP_HEADER + "\n")
-        sfh.flush()
-
+    with (
+        csv_writer(metrics_path, CSV_HEADER) as write_round,
+        csv_writer(out_dir / "sweeps.csv", SWEEP_HEADER) as write_sweep,
+    ):
         def on_round(record):
             line = format_round(record)
-            mfh.write(line + "\n")
-            mfh.flush()
+            write_round(line)
             stdout.write(line + "\n")
             stdout.flush()
 
-        def on_sweep(sweep):
-            sfh.write(format_sweep(sweep) + "\n")
-            sfh.flush()
-
-        series = run_experiment(cfg, round_callback=on_round, sweep_callback=on_sweep)
+        series = run_experiment(
+            cfg, round_callback=on_round,
+            sweep_callback=lambda sweep: write_sweep(format_sweep(sweep)),
+        )
 
     stdout.write(
         f"final avg_client_top1 {series.final_avg_client_top1():.6f} "

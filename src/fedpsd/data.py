@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import ContractViolation
+from .nn import ContractViolation, _check_label_range
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -127,14 +127,6 @@ class ClientPartition:
         return self.train_indices.size
 
 
-@dataclass(frozen=True)
-class ClassPrior:
-    """Smoothed empirical label distribution of one client's train data."""
-
-    probabilities: np.ndarray
-    epsilon: float
-
-
 def _read_be_u32(data: bytes, offset: int, what: str) -> int:
     if offset + 4 > len(data):
         raise IdxParseError(f"truncated {what} at byte offset {offset}")
@@ -154,6 +146,8 @@ def load_idx(images_bytes: bytes, labels_bytes: bytes) -> LabeledDataset:
             f"bad images magic 0x{magic:08x} at byte offset 0, expected 0x{IMAGES_MAGIC:08x}"
         )
     count = _read_be_u32(images_bytes, 4, "images header")
+    if count == 0:
+        raise IdxParseError("image count at byte offset 4 is 0; need at least one image")
     rows = _read_be_u32(images_bytes, 8, "images header")
     cols = _read_be_u32(images_bytes, 12, "images header")
     need = 16 + count * rows * cols
@@ -398,11 +392,15 @@ def client_test_split(
     return np.sort(np.concatenate(chosen))
 
 
-def class_prior(labels: np.ndarray, num_classes: int, epsilon: float = 1.0) -> ClassPrior:
-    """Additively smoothed label distribution: (count_y + eps) / (n + L*eps)."""
+def class_prior(labels: np.ndarray, num_classes: int, epsilon: float = 1.0) -> np.ndarray:
+    """Additively smoothed label distribution: (count_y + eps) / (n + L*eps).
+
+    Labels must lie in [0, num_classes); the result has length num_classes.
+    """
     labels = np.asarray(labels)
     if labels.size < 1:
         raise ContractViolation("need at least one label for a class prior")
+    _check_label_range(labels, num_classes)
     if epsilon < 0:
         raise ContractViolation(f"epsilon must be >= 0, got {epsilon}")
     counts = np.bincount(labels, minlength=num_classes).astype(np.float64)
@@ -411,4 +409,4 @@ def class_prior(labels: np.ndarray, num_classes: int, epsilon: float = 1.0) -> C
         raise ContractViolation(
             "prior has a zero entry; epsilon > 0 is required when some class is absent"
         )
-    return ClassPrior(probabilities=probs, epsilon=epsilon)
+    return probs

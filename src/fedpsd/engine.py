@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import SAMPLING_STREAM, ExperimentConfig
 from .data import (
-    ClassPrior,
     ClientPartition,
     LabeledDataset,
     class_prior,
@@ -48,14 +47,13 @@ POOL_MIN_PARAMS = 1 << 15
 class ServerState:
     global_params: ModelParams
     round: int
-    seed: int
 
 
 @dataclass
 class ClientState:
     client_id: int
     partition: ClientPartition
-    prior: ClassPrior
+    prior: np.ndarray
     history: ClientHistory | None = None
     last_params: ModelParams | None = None
 
@@ -143,7 +141,7 @@ def run_round(
 ) -> RoundReport:
     """Advance the federation by one round, mutating server and clients."""
     t = server.round
-    sampled = sample_clients(cfg.num_clients, cfg.fraction, t, server.seed)
+    sampled = sample_clients(cfg.num_clients, cfg.fraction, t, cfg.seed)
     lr = lr_schedule(cfg.base_lr, t, cfg.lr_decay)
 
     if cfg.workers > 1 and server.global_params.flat.size >= POOL_MIN_PARAMS:
@@ -245,7 +243,7 @@ def build_federation(
         )
         clients[part.client_id] = ClientState(part.client_id, part, prior)
     layer_sizes = [train.dim, *cfg.hidden, train.num_classes]
-    server = ServerState(init_model(layer_sizes, cfg.seed), round=0, seed=cfg.seed)
+    server = ServerState(init_model(layer_sizes, cfg.seed), round=0)
     return server, clients
 
 

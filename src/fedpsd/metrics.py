@@ -1,6 +1,7 @@
 """Metrics records, CSV emission, and the rounds-to-target summary."""
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,19 +56,34 @@ def format_sweep(sweep: SweepRecord) -> str:
     return f"{sweep.round},{sweep.all_client_top1:.6f}"
 
 
+@contextmanager
+def csv_writer(path, header: str):
+    """Create the CSV file ``path`` and write ``header``; yield a row writer.
+
+    Every CSV the package writes goes through here. The writer takes
+    one formatted line, appends it with a newline and flushes, so a
+    file being written row by row can be tailed.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        def write_row(line: str) -> None:
+            fh.write(line + "\n")
+            fh.flush()
+
+        write_row(header)
+        yield write_row
+
+
 def emit_metrics(series: MetricsSeries, path) -> None:
     """Write the per-round CSV: 6-decimal floats, sampled ids ;-joined."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with csv_writer(path, CSV_HEADER) as write_row:
         for record in series.rounds:
-            fh.write(format_round(record) + "\n")
+            write_row(format_round(record))
 
 
 def emit_sweeps(series: MetricsSeries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SWEEP_HEADER + "\n")
+    with csv_writer(path, SWEEP_HEADER) as write_row:
         for sweep in series.sweeps:
-            fh.write(format_sweep(sweep) + "\n")
+            write_row(format_sweep(sweep))
 
 
 def _parse_row(line: str) -> RoundRecord:

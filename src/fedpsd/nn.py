@@ -254,11 +254,6 @@ class OptimizerState:
     momentum: float
     weight_decay: float
 
-    @property
-    def velocities(self) -> list[np.ndarray]:
-        """Per-array views of ``velocity``, in ``ModelParams.arrays()`` order."""
-        return self.velocity.arrays()
-
 
 def init_optimizer(
     model: ModelParams,

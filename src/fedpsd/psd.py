@@ -74,6 +74,9 @@ class ClientHistory:
         if len(data) < _HISTORY_HEADER.size:
             raise ValueError(f"truncated history record at byte offset {len(data)}")
         client_id, recorded_round, n, l = _HISTORY_HEADER.unpack_from(data, 0)
+        for offset, dim in ((16, n), (24, l)):
+            if dim < 0:
+                raise ValueError(f"negative history dimension {dim} at byte offset {offset}")
         need = _HISTORY_HEADER.size + n * l * 8
         if len(data) != need:
             raise ValueError(
@@ -81,15 +84,6 @@ class ClientHistory:
             )
         probs = np.frombuffer(data, dtype="<f8", offset=_HISTORY_HEADER.size)
         return int(client_id), cls(probs.reshape(n, l).copy(), int(recorded_round))
-
-
-@dataclass(frozen=True)
-class FusionLabel:
-    """A fused soft target: alpha * teacher + (1 - alpha) * one-hot truth."""
-
-    probs: np.ndarray
-    alpha: float
-    source: str  # "history" for first-epoch teachers, "previous-epoch" after
 
 
 def alpha_schedule(round_t: int, t_total: int) -> float:
@@ -116,8 +110,7 @@ def _check_teacher_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def fuse_labels(teacher: np.ndarray, truth: np.ndarray, alpha: float,
-                source: str = "history") -> FusionLabel:
+def fuse_labels(teacher: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndarray:
     """Convex combination alpha * teacher + (1 - alpha) * truth.
 
     Takes one vector or a batch of rows. ``truth`` must be exactly
@@ -136,13 +129,11 @@ def fuse_labels(teacher: np.ndarray, truth: np.ndarray, alpha: float,
         raise ContractViolation("truth must be one-hot")
     if not 0.0 <= alpha <= 1.0:
         raise ContractViolation(f"alpha must be in [0, 1], got {alpha}")
-    if source not in ("history", "previous-epoch"):
-        raise ContractViolation(f"unknown fusion source {source!r}")
-    return FusionLabel(alpha * teacher + (1.0 - alpha) * truth, alpha, source)
+    return alpha * teacher + (1.0 - alpha) * truth
 
 
 def _prior_probs(prior) -> np.ndarray:
-    probs = np.asarray(getattr(prior, "probabilities", prior), dtype=np.float64)
+    probs = np.asarray(prior, dtype=np.float64)
     if probs.ndim != 1 or probs.size == 0 or not (probs > 0.0).all():
         raise ContractViolation("prior must be a strictly positive vector; smooth it first")
     return probs
@@ -221,12 +212,11 @@ def balanced_prediction(logits: np.ndarray, prior):
 def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]:
     """KL(teacher || softmax(student_logits)) with its logit gradient.
 
-    ``teacher`` may be a FusionLabel, a probability vector, or a batch
-    of rows; student probabilities use the plain softmax (calibration
-    never touches the distillation term).
+    ``teacher`` may be a probability vector or a batch of rows; student
+    probabilities use the plain softmax (calibration never touches the
+    distillation term).
     """
-    rows = teacher.probs if isinstance(teacher, FusionLabel) else teacher
-    rows = _check_teacher_rows(rows)
+    rows = _check_teacher_rows(teacher)
     logits = np.asarray(student_logits, dtype=np.float64)
     single = logits.ndim == 1
     if single:
@@ -253,7 +243,7 @@ def local_train_fedpsd(
     global_params: ModelParams,
     features: np.ndarray,
     labels: np.ndarray,
-    prior,
+    prior: np.ndarray,
     history: ClientHistory | None,
     client_id: int,
     round_t: int,
@@ -296,12 +286,12 @@ def local_train_fedpsd(
         teacher = None
         if epoch == 0:
             if fedpsd and cfg.rhpk and history is not None:
-                teacher = fuse_labels(history.probs, onehots, alpha).probs
+                teacher = fuse_labels(history.probs, onehots, alpha)
             elif fedpsd and cfg.kd_epoch1_fallback:
                 teacher = onehots
         elif use_psd:
             source = softmax(forward(params, features)) if cfg.psd_fresh_teacher else cache
-            teacher = fuse_labels(source, onehots, alpha, "previous-epoch").probs
+            teacher = fuse_labels(source, onehots, alpha)
         # The cache written during this epoch feeds the next one.
         fill_cache = cache is not None and epoch < cfg.epochs - 1
 

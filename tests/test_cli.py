@@ -3,10 +3,11 @@ import dataclasses
 
 import pytest
 
+from fedpsd import engine
 from fedpsd.cli import ABLATION_HEADER, main, run_ablation
 from fedpsd.config import ConfigError, ExperimentConfig, parse_config
 from fedpsd.engine import run_experiment
-from fedpsd.metrics import CSV_HEADER, load_metrics
+from fedpsd.metrics import CSV_HEADER, emit_metrics, emit_sweeps, load_metrics
 
 # Small enough to train in well under a second per run.
 TINY = """
@@ -75,6 +76,33 @@ class TestRun:
         main(["run", str(first / "config.txt"), "--out", str(second)])
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
         assert (first / "sweeps.csv").read_bytes() == (second / "sweeps.csv").read_bytes()
+
+    def test_streamed_csvs_match_batch_emit(self, tmp_path):
+        cfg_path = _write_config(tmp_path, algorithm="fedpsd")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+        series = run_experiment(parse_config(cfg_path.read_text()))
+        emit_metrics(series, tmp_path / "metrics.csv")
+        emit_sweeps(series, tmp_path / "sweeps.csv")
+        for name in ("metrics.csv", "sweeps.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_each_row_is_on_disk_before_the_next_round(self, tmp_path, monkeypatch):
+        cfg_path = _write_config(tmp_path)
+        out = tmp_path / "out"
+        line_counts = []
+        run_round = engine.run_round
+
+        def counting_round(*args):
+            line_counts.append(tuple(
+                len((out / name).read_text().splitlines()) for name in ("metrics.csv", "sweeps.csv")
+            ))
+            return run_round(*args)
+
+        monkeypatch.setattr(engine, "run_round", counting_round)
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+        # Header only, then one row per finished round; the sweep after round 2.
+        assert line_counts == [(1, 1), (2, 1), (3, 2)]
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1

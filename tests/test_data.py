@@ -60,6 +60,11 @@ class TestIdx:
         with pytest.raises(IdxParseError, match="offset"):
             load_idx(b"\x00\x00", b"\x00\x00")
 
+    def test_empty_pair_names_the_count(self):
+        images, labels = _idx_pair([], [])
+        with pytest.raises(IdxParseError, match="byte offset 4"):
+            load_idx(images, labels)
+
     def test_count_mismatch(self):
         images, _ = _idx_pair([[0, 0, 0, 0], [1, 1, 1, 1]], [0, 1])
         _, labels = _idx_pair([[0, 0, 0, 0]], [0])
@@ -279,11 +284,11 @@ class TestClientTestSplit:
 class TestClassPrior:
     def test_unsmoothed_balanced(self):
         prior = class_prior(np.repeat([0, 1], 5), 2, epsilon=0.0)
-        assert np.array_equal(prior.probabilities, [0.5, 0.5])
+        assert np.array_equal(prior, [0.5, 0.5])
 
     def test_add_one_smoothing(self):
         prior = class_prior(np.zeros(4, dtype=int), 2, epsilon=1.0)
-        assert np.allclose(prior.probabilities, [5 / 6, 1 / 6], atol=1e-15)
+        assert np.allclose(prior, [5 / 6, 1 / 6], atol=1e-15)
 
     def test_always_normalized(self):
         rng = np.random.default_rng(1)
@@ -292,8 +297,14 @@ class TestClassPrior:
             labels = rng.integers(0, l, size=int(rng.integers(1, 100)))
             eps = float(rng.uniform(0.01, 3.0))
             prior = class_prior(labels, l, epsilon=eps)
-            assert abs(prior.probabilities.sum() - 1.0) < 1e-12
-            assert prior.probabilities.min() > 0
+            assert abs(prior.sum() - 1.0) < 1e-12
+            assert prior.min() > 0
+
+    def test_labels_outside_range_rejected(self):
+        with pytest.raises(ContractViolation, match=r"\[0, 3\)"):
+            class_prior(np.array([0, 5]), 3)
+        with pytest.raises(ContractViolation, match=r"\[0, 3\)"):
+            class_prior(np.array([-1, 2]), 3)
 
     def test_zero_epsilon_with_absent_class(self):
         with pytest.raises(ContractViolation):

@@ -233,7 +233,7 @@ class TestSGD:
         model, state = sgd_step(model, grads, state)
         assert model.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-15)
         model, state = sgd_step(model, grads, state)
-        assert state.velocities[0][0, 0] == pytest.approx(1.9, abs=1e-15)
+        assert state.velocity.arrays()[0][0, 0] == pytest.approx(1.9, abs=1e-15)
         assert model.weights[0][0, 0] == pytest.approx(-0.29, abs=1e-15)
 
     def test_lr_zero_identity_property(self):
@@ -271,7 +271,7 @@ class TestSGD:
         new, new_state = sgd_step(model, grads, state)
         assert new is model and new_state is state
         assert model.flat is flat and state.velocity.flat is velocity
-        assert np.array_equal(state.velocities[2], grads.weights[1])
+        assert np.array_equal(state.velocity.arrays()[2], grads.weights[1])
 
     def test_non_finite_gradient_writes_nothing(self):
         model = init_model([3, 4, 2], seed=0)
