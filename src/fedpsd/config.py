@@ -46,8 +46,6 @@ class ExperimentConfig:
     rhpk: bool = True
     psd: bool = True
     cll: bool = True
-    psd_fresh_teacher: bool = False
-    kd_epoch1_fallback: bool = False
     prior_epsilon: float = 1.0
     test_budget: int = 100
     sweep_every: int = 10
@@ -124,8 +122,6 @@ _KEYS: dict[str, tuple[str, callable]] = {
     "rhpk": ("rhpk", _parse_bool),
     "psd": ("psd", _parse_bool),
     "cll": ("cll", _parse_bool),
-    "psd_fresh_teacher": ("psd_fresh_teacher", _parse_bool),
-    "kd_epoch1_fallback": ("kd_epoch1_fallback", _parse_bool),
     "prior_epsilon": ("prior_epsilon", lambda r: _parse_float(r, lo=0)),
     "test_budget": ("test_budget", lambda r: _parse_int(r, lo=1)),
     "sweep_every": ("sweep_every", lambda r: _parse_int(r, lo=0)),

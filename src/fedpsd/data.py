@@ -70,11 +70,7 @@ class LabeledDataset:
                 f"labels length {self.labels.shape} does not match "
                 f"{self.values.shape[0]} feature rows"
             )
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ContractViolation(
-                f"labels must lie in [0, {self.num_classes}), got range "
-                f"[{self.labels.min()}, {self.labels.max()}]"
-            )
+        _check_label_range(self.labels, self.num_classes)
 
     def rows(self, idx=slice(None)) -> np.ndarray:
         """Float64 feature rows ``idx``.
@@ -150,6 +146,9 @@ def load_idx(images_bytes: bytes, labels_bytes: bytes) -> LabeledDataset:
         raise IdxParseError("image count at byte offset 4 is 0; need at least one image")
     rows = _read_be_u32(images_bytes, 8, "images header")
     cols = _read_be_u32(images_bytes, 12, "images header")
+    for what, offset, size in (("rows", 8, rows), ("cols", 12, cols)):
+        if size == 0:
+            raise IdxParseError(f"image {what} at byte offset {offset} is 0; need at least one")
     need = 16 + count * rows * cols
     if len(images_bytes) != need:
         raise IdxParseError(

@@ -192,7 +192,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis, through log-sum-exp for stability."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
+    # A float label would fail later as a numpy indexing or casting error.
+    if labels.dtype.kind not in "iu":
+        raise ContractViolation(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ContractViolation(
             f"labels must lie in [0, {num_classes}), got range "
@@ -220,9 +229,7 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     # A negative label would index from the end instead of failing.
     _check_label_range(labels, logits.shape[1])
     rows = np.arange(b)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
+    log_p = log_softmax(logits)
     loss = float(-log_p[rows, labels].mean())
     # (p - onehot) / b without the one-hot: the same IEEE operations.
     dlogits = np.exp(log_p)

@@ -30,6 +30,7 @@ from .nn import (
     _forward_cached,
     forward,
     init_optimizer,
+    log_softmax,
     one_hot,
     sgd_step,
     softmax,
@@ -39,30 +40,37 @@ from .nn import (
 _HISTORY_HEADER = struct.Struct("<4q")  # client_id, recorded_round, n_k, num_classes
 
 
+def _check_prob_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    """``rows`` as float64; raises unless it is non-empty and every row
+    has entries >= 0 summing to 1 within 1e-9."""
+    rows = np.asarray(rows, dtype=np.float64)
+    # Written as "not all good" so that NaN, which fails every
+    # comparison, is rejected too.
+    if rows.size == 0 or not (
+        (rows >= 0.0).all() and (np.abs(rows.sum(axis=-1) - 1.0) <= 1e-9).all()
+    ):
+        raise ContractViolation(f"{what} rows must be probability vectors summing to 1 within 1e-9")
+    return rows
+
+
 @dataclass
 class ClientHistory:
     """Per-sample softmax outputs from a client's last participation.
 
     ``probs`` has one row per local train sample, aligned to the order
-    of the client's train_indices. This is the only thing a client
-    retains between rounds: n_k * L floats, never a model copy.
+    of the client's train_indices: n_k * L floats. This is all that
+    FedPSD's training reads from a past round. The engine also keeps a
+    copy of the client's last model (``ClientState.last_params``), but
+    only for the all-client evaluation sweep.
     """
 
     probs: np.ndarray
     recorded_round: int
 
     def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 2 or self.probs.shape[0] == 0:
-            raise ContractViolation(
-                f"history probs must be 2-D with at least one row, got {self.probs.shape}"
-            )
-        # Written as "not all good" so that NaN, which fails every
-        # comparison, is rejected too.
-        if not (self.probs >= 0.0).all():
-            raise ContractViolation("history rows must be probability vectors")
-        if not (np.abs(self.probs.sum(axis=1) - 1.0) <= 1e-9).all():
-            raise ContractViolation("history rows must sum to 1 within 1e-9")
+        self.probs = _check_prob_rows(self.probs, "history")
+        if self.probs.ndim != 2:
+            raise ContractViolation(f"history probs must be 2-D, got {self.probs.shape}")
 
     def to_bytes(self, client_id: int) -> bytes:
         n, l = self.probs.shape
@@ -101,15 +109,6 @@ def alpha_schedule(round_t: int, t_total: int) -> float:
     return round_t / t_total
 
 
-def _check_teacher_rows(rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.size == 0 or not (
-        (rows >= 0.0).all() and (np.abs(rows.sum(axis=-1) - 1.0) <= 1e-9).all()
-    ):
-        raise ContractViolation("teacher rows must be probability vectors")
-    return rows
-
-
 def fuse_labels(teacher: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndarray:
     """Convex combination alpha * teacher + (1 - alpha) * truth.
 
@@ -119,7 +118,7 @@ def fuse_labels(teacher: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndar
     alpha-scaled teacher entry. At alpha 0 and 1 the arithmetic returns
     truth and teacher exactly.
     """
-    teacher = _check_teacher_rows(teacher)
+    teacher = _check_prob_rows(teacher, "teacher")
     truth = np.asarray(truth, dtype=np.float64)
     if teacher.ndim not in (1, 2) or truth.shape != teacher.shape:
         raise ContractViolation(
@@ -143,8 +142,7 @@ def _kd_rows(teacher_rows: np.ndarray, logits: np.ndarray) -> tuple[float, np.nd
     """Batch-mean KL(teacher || softmax(logits)), its logit gradient, and
     the student probabilities (reused by the epoch cache)."""
     b = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_p = log_softmax(logits)
     probs = np.exp(log_p)
     t = teacher_rows
     neg_entropy = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0).sum(axis=1)
@@ -216,7 +214,7 @@ def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]
     probabilities use the plain softmax (calibration never touches the
     distillation term).
     """
-    rows = _check_teacher_rows(teacher)
+    rows = _check_prob_rows(teacher, "teacher")
     logits = np.asarray(student_logits, dtype=np.float64)
     single = logits.ndim == 1
     if single:
@@ -255,7 +253,7 @@ def local_train_fedpsd(
     fedavg minimises cross-entropy and fedprox adds the proximal pull
     toward ``global_params``. fedpsd calibrates the cross-entropy with
     ``prior`` (cll), distills epoch 1 toward the fused history teacher
-    (rhpk) or the one-hot fallback, and distills later epochs toward
+    (rhpk) when the client has one, and distills later epochs toward
     the fused outputs cached during the previous epoch (psd); after the
     last epoch the trained model's softmax outputs over the full local
     set become the new history. Returns (params, history, per-batch
@@ -278,20 +276,15 @@ def local_train_fedpsd(
             f"client {client_id} history shape {history.probs.shape} does not match "
             f"({n}, {num_classes}); partitions must stay fixed across rounds"
         )
-    use_psd = fedpsd and cfg.psd
-    cache = np.empty((n, num_classes)) if use_psd and not cfg.psd_fresh_teacher else None
+    cache = np.empty((n, num_classes)) if fedpsd and cfg.psd else None
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         teacher = None
-        if epoch == 0:
-            if fedpsd and cfg.rhpk and history is not None:
-                teacher = fuse_labels(history.probs, onehots, alpha)
-            elif fedpsd and cfg.kd_epoch1_fallback:
-                teacher = onehots
-        elif use_psd:
-            source = softmax(forward(params, features)) if cfg.psd_fresh_teacher else cache
-            teacher = fuse_labels(source, onehots, alpha)
+        if epoch == 0 and fedpsd and cfg.rhpk and history is not None:
+            teacher = fuse_labels(history.probs, onehots, alpha)
+        elif epoch > 0 and cache is not None:
+            teacher = fuse_labels(cache, onehots, alpha)
         # The cache written during this epoch feeds the next one.
         fill_cache = cache is not None and epoch < cfg.epochs - 1
 

@@ -1,7 +1,12 @@
 """Config parsing/echo and metrics CSV round-trips."""
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fedpsd
 from fedpsd.config import ConfigError, ExperimentConfig, echo_config, parse_config
 from fedpsd.metrics import (
     CSV_HEADER,
@@ -54,6 +59,20 @@ class TestParseConfig:
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 3.*mystery"):
             parse_config("K = 10\nC = 0.5\nmystery = 4\n")
+
+    @pytest.mark.parametrize("line", ["psd_fresh_teacher = true", "kd_epoch1_fallback = false"])
+    def test_removed_teacher_variant_keys_are_unknown(self, line):
+        with pytest.raises(ConfigError, match=r"line 2: unknown key"):
+            parse_config(f"K = 10\n{line}\n")
+
+    def test_every_field_is_read_by_the_package(self):
+        # An option that no code reads would configure nothing.
+        src = "".join(p.read_text() for p in Path(fedpsd.__file__).parent.glob("*.py"))
+        unread = [
+            f.name for f in dataclasses.fields(ExperimentConfig)
+            if not re.search(rf"\bcfg\.{f.name}\b", src)
+        ]
+        assert unread == []
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

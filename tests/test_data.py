@@ -65,6 +65,13 @@ class TestIdx:
         with pytest.raises(IdxParseError, match="byte offset 4"):
             load_idx(images, labels)
 
+    def test_zero_image_dimension_names_the_offset(self):
+        lab = struct.pack(">II", 0x00000801, 2) + bytes([0, 1])
+        for rows, cols, offset in ((0, 5, 8), (5, 0, 12)):
+            images = struct.pack(">IIII", 0x00000803, 2, rows, cols)
+            with pytest.raises(IdxParseError, match=f"byte offset {offset}"):
+                load_idx(images, lab)
+
     def test_count_mismatch(self):
         images, _ = _idx_pair([[0, 0, 0, 0], [1, 1, 1, 1]], [0, 1])
         _, labels = _idx_pair([[0, 0, 0, 0]], [0])
@@ -305,6 +312,10 @@ class TestClassPrior:
             class_prior(np.array([0, 5]), 3)
         with pytest.raises(ContractViolation, match=r"\[0, 3\)"):
             class_prior(np.array([-1, 2]), 3)
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ContractViolation, match="integers"):
+            class_prior(np.array([0.5, 1.0]), 3)
 
     def test_zero_epsilon_with_absent_class(self):
         with pytest.raises(ContractViolation):

@@ -37,14 +37,6 @@ GOLDEN = {
         dict(algorithm="fedpsd"),
         "39ff5eb6216cb3dd62b304952313e7c1a5f5cf21861dd92c6e260ce55d8dee13",
     ),
-    "fedpsd_fresh_teacher": (
-        dict(algorithm="fedpsd", psd_fresh_teacher=True),
-        "bcf31ca00f781eb27bd09b9d452f6cc62485ceda1b902dac320a6430a302a412",
-    ),
-    "fedpsd_epoch1_fallback": (
-        dict(algorithm="fedpsd", rhpk=False, kd_epoch1_fallback=True),
-        "ad65ce90e6420c3202bd0616769e1a6b72019bd2a950bf64516513cdf6817084",
-    ),
     "fedpsd_dirichlet_workers2": (
         dict(algorithm="fedpsd", partition="dirichlet", dirichlet_alpha=0.5, workers=2),
         "c1112c689293fc1dbdb900ce735469b8bed02982c5d26338a2652088ff360a5c",

@@ -310,3 +310,7 @@ class TestOneHot:
     def test_out_of_range(self):
         with pytest.raises(ContractViolation):
             one_hot(np.array([3]), 3)
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ContractViolation, match="integers"):
+            one_hot(np.array([1.0, 0.0]), 3)

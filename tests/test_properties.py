@@ -44,8 +44,6 @@ _FIELDS = dict(
     rhpk=st.booleans(),
     psd=st.booleans(),
     cll=st.booleans(),
-    psd_fresh_teacher=st.booleans(),
-    kd_epoch1_fallback=st.booleans(),
     prior_epsilon=_floats(0.0),
     test_budget=st.integers(min_value=1),
     sweep_every=st.integers(min_value=0),
