@@ -28,8 +28,6 @@ _SHARD_STREAM = 24
 _DIRICHLET_STREAM = 25
 _TEST_SPLIT_STREAM = 26
 
-_DIRICHLET_MAX_RETRIES = 20
-
 
 class IdxParseError(ValueError):
     """Malformed IDX bytes; message carries the byte offset."""
@@ -284,12 +282,12 @@ def partition_dirichlet(
 ) -> list[ClientPartition]:
     """Per-client label proportions drawn from a symmetric Dirichlet.
 
-    Each client gets an equal nominal budget of M // num_clients samples
-    whose class mix follows its own Dirichlet draw, filled from
-    per-class pools without replacement. When a wanted class is
-    exhausted the deficit is redistributed proportionally over the
-    classes that still have supply. Up to M mod num_clients tail
-    samples stay unassigned.
+    Every client gets exactly M // num_clients samples, whose class mix
+    follows its own Dirichlet draw, from per-class pools without
+    replacement. A deficit left by exhausted classes is redistributed
+    proportionally over the classes with supply, which always fills the
+    budget: at least M // num_clients samples remain for each client.
+    Up to M mod num_clients tail samples stay unassigned.
     """
     if alpha <= 0 or num_clients < 1:
         raise PartitionError(f"need alpha > 0 and num_clients >= 1, got ({alpha}, {num_clients})")
@@ -308,29 +306,21 @@ def partition_dirichlet(
 
     partitions = []
     for client in range(num_clients):
-        for attempt in range(_DIRICHLET_MAX_RETRIES):
-            p = rng.dirichlet(np.full(l, alpha))
-            remaining = np.array([pools[c].size - cursor[c] for c in range(l)])
-            want = np.minimum(_apportion(p, budget), remaining)
-            deficit = budget - int(want.sum())
-            while deficit > 0:
-                supply = remaining - want
-                open_classes = supply > 0
-                if not open_classes.any():
-                    break
-                weights = np.where(open_classes, p, 0.0)
-                if weights.sum() <= 0:
-                    weights = open_classes.astype(np.float64)
-                extra = _apportion(weights / weights.sum(), deficit)
-                want += np.minimum(extra, supply)
-                deficit = budget - int(want.sum())
-            if want.sum() >= 1:
+        p = rng.dirichlet(np.full(l, alpha))
+        remaining = np.array([pools[c].size - cursor[c] for c in range(l)])
+        want = np.minimum(_apportion(p, budget), remaining)
+        deficit = budget - int(want.sum())
+        while deficit > 0:
+            supply = remaining - want
+            open_classes = supply > 0
+            if not open_classes.any():
                 break
-        else:
-            raise PartitionError(
-                f"client {client} stayed empty after {_DIRICHLET_MAX_RETRIES} draws; "
-                "use a larger dataset or a larger alpha"
-            )
+            weights = np.where(open_classes, p, 0.0)
+            if weights.sum() <= 0:
+                weights = open_classes.astype(np.float64)
+            extra = _apportion(weights / weights.sum(), deficit)
+            want += np.minimum(extra, supply)
+            deficit = budget - int(want.sum())
         picked = [pools[c][cursor[c] : cursor[c] + want[c]] for c in range(l) if want[c] > 0]
         cursor += want
         idx = np.sort(np.concatenate(picked))
@@ -375,8 +365,6 @@ def client_test_split(
     rng = np.random.default_rng([seed, _TEST_SPLIT_STREAM, partition.client_id])
     chosen = []
     for cls, n in zip(present, alloc):
-        if n == 0:
-            continue
         pool = np.flatnonzero(global_test.labels == cls)
         if pool.size == 0:
             warnings.warn(

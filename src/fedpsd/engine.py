@@ -1,21 +1,21 @@
 """Federated round loop: sampling, local training, aggregation, evaluation.
 
-One round samples ceil(C*K) clients, trains each from a copy of the
-current global model, records every participant's local-test accuracy
-before aggregation, then replaces the global model with the
-sample-size-weighted mean of the returned parameters and evaluates it
-on the pooled test set. Per-client RNG streams are keyed by
-(seed, round, client_id) and updates are summed in sampled order, so
-results never depend on where a client trained. With ``workers`` > 1,
-``run_experiment`` trains each round's clients in
+One round samples ceil(C*K) clients (``clients_per_round``), trains
+each from a copy of the current global model, records every
+participant's local-test accuracy before aggregation, then replaces the
+global model with the sample-size-weighted mean of the returned
+parameters and evaluates it on the pooled test set. Per-client RNG
+streams are keyed by (seed, round, client_id) and updates are summed in
+sampled order, so results never depend on where a client trained. With
+``workers`` > 1, ``run_experiment`` trains each round's clients in
 min(workers, ceil(C*K), cpu count) worker processes (``WorkerPool``,
 POSIX ``fork`` only), forked when the first round trains and reaped when
-the run ends; ``run_round`` on a server without them trains every client
-on the calling thread.
+the run ends; each returns the same ``ModelParams``, history, losses and
+accuracy that ``run_round`` computes on the calling thread when the
+server has no workers.
 """
 from __future__ import annotations
 
-import math
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -78,11 +78,19 @@ class RoundReport:
         return float(np.mean([np.mean(trace) for trace in self.loss_traces]))
 
 
+def clients_per_round(num_clients: int, fraction: float) -> int:
+    """ceil(fraction * num_clients), at least one; exact for a fraction of
+    up to 9 decimals, which the float product is not (0.07 * 100 is
+    7.000000000000001), by counting the fraction in billionths."""
+    billionths = round(fraction * 1_000_000_000)
+    return max(1, -(-billionths * num_clients // 1_000_000_000))
+
+
 def sample_clients(num_clients: int, fraction: float, round_t: int, seed: int) -> list[int]:
-    """ceil(fraction * num_clients) distinct ids, keyed by (seed, round)."""
+    """``clients_per_round`` distinct ids, keyed by (seed, round)."""
     if not 0.0 < fraction <= 1.0:
         raise ContractViolation(f"fraction must be in (0, 1], got {fraction}")
-    count = math.ceil(fraction * num_clients)
+    count = clients_per_round(num_clients, fraction)
     rng = np.random.default_rng([seed, SAMPLING_STREAM, round_t])
     return sorted(int(c) for c in rng.choice(num_clients, size=count, replace=False))
 
@@ -143,7 +151,7 @@ def worker_count(cfg: ExperimentConfig) -> int:
     More would sit idle: a round trains ceil(C*K) clients, and each
     worker trains on one core.
     """
-    return min(cfg.workers, math.ceil(cfg.fraction * cfg.num_clients), os.cpu_count() or 1)
+    return min(cfg.workers, clients_per_round(cfg.num_clients, cfg.fraction), os.cpu_count() or 1)
 
 
 class WorkerPool:
@@ -152,11 +160,12 @@ class WorkerPool:
     The workers are forked on the first ``train`` call, from the process
     that already holds the train and test sets and every client's
     partition and prior, so none of that is sent. Each round a worker
-    receives the global flat vector, the round, the lr and, for each of
-    its clients, the id and ``ClientHistory``; it replies with each
-    client's flat parameters, new history, losses and local-test
-    accuracy. Both ends of each pipe are this module's, so the pickles
-    read are only ones it wrote. ``close`` reaps the workers.
+    receives the global ``ModelParams``, the round, the lr and the id
+    and ``ClientHistory`` of every size-th sampled client (all clients
+    of a run have the same n_k, so dealing in turn balances the work);
+    it replies with each one's ``ClientResult``. Both ends of each pipe
+    are this module's, so the pickles read are only ones it wrote.
+    ``close`` reaps the workers.
     """
 
     def __init__(
@@ -171,7 +180,7 @@ class WorkerPool:
         self._state = (train, test, clients, cfg)
         self._workers: list[tuple[int, BinaryIO, BinaryIO]] = []  # (pid, requests, replies)
 
-    def _fork(self, layout: ModelParams) -> None:
+    def _fork(self) -> None:
         for _ in range(self.size):
             requests_r, requests_w = os.pipe()
             replies_r, replies_w = os.pipe()
@@ -186,7 +195,7 @@ class WorkerPool:
                     for _, requests, replies in self._workers:
                         os.close(requests.fileno())
                         os.close(replies.fileno())
-                    self._serve(requests_r, replies_w, layout)
+                    self._serve(requests_r, replies_w)
                     status = 0
                 finally:
                     os._exit(status)
@@ -194,7 +203,7 @@ class WorkerPool:
             os.close(replies_w)
             self._workers.append((pid, open(requests_w, "wb"), open(replies_r, "rb")))
 
-    def _serve(self, requests_fd: int, replies_fd: int, layout: ModelParams) -> None:
+    def _serve(self, requests_fd: int, replies_fd: int) -> None:
         """A worker's loop: train each request's clients, until the parent
         closes the request pipe. Replies with the clients' results, or with
         the exception that stopped them."""
@@ -202,10 +211,9 @@ class WorkerPool:
         with open(requests_fd, "rb") as requests, open(replies_fd, "wb") as replies:
             while True:
                 try:
-                    flat, round_t, lr, jobs = pickle.load(requests)
+                    global_params, round_t, lr, jobs = pickle.load(requests)
                 except EOFError:
                     return
-                global_params = layout.with_flat(flat)
                 try:
                     reply = []
                     for cid, history in jobs:
@@ -214,7 +222,7 @@ class WorkerPool:
                             global_params, round_t, client, history, train, lr, cfg
                         )
                         accuracy = _local_accuracy(params, client, test)
-                        reply.append((cid, params.flat, new_history, losses, accuracy))
+                        reply.append((params, new_history, losses, accuracy))
                 except Exception as exc:  # re-raised by the parent
                     reply = exc
                 pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
@@ -225,22 +233,17 @@ class WorkerPool:
     ) -> list[ClientResult]:
         """Train ``sampled`` from ``global_params``; results in ``sampled`` order."""
         if not self._workers:
-            self._fork(global_params)
-        # Largest client first, onto the least-loaded worker.
-        loads = [0] * len(self._workers)
-        shares: list[list[tuple[int, ClientHistory | None]]] = [[] for _ in self._workers]
-        for client in sorted(sampled, key=lambda c: -c.partition.n_k):
-            w = loads.index(min(loads))
-            loads[w] += client.partition.n_k
-            shares[w].append((client.client_id, client.history))
-        for (pid, requests, _), share in zip(self._workers, shares):
+            self._fork()
+        jobs = [(client.client_id, client.history) for client in sampled]
+        for w, (pid, requests, _) in enumerate(self._workers):
             try:
-                pickle.dump((global_params.flat, round_t, lr, share), requests, pickle.HIGHEST_PROTOCOL)
+                request = (global_params, round_t, lr, jobs[w :: self.size])
+                pickle.dump(request, requests, pickle.HIGHEST_PROTOCOL)
                 requests.flush()
             except BrokenPipeError:
                 raise ChildProcessError(f"worker process {pid} has exited") from None
-        results: dict[int, ClientResult] = {}
-        for pid, _, replies in self._workers:
+        results: list = [None] * len(sampled)
+        for w, (pid, _, replies) in enumerate(self._workers):
             try:
                 reply = pickle.load(replies)
             except (EOFError, pickle.UnpicklingError):
@@ -249,9 +252,8 @@ class WorkerPool:
                 ) from None
             if isinstance(reply, Exception):
                 raise reply
-            for cid, flat, history, losses, accuracy in reply:
-                results[cid] = (global_params.with_flat(flat), history, losses, accuracy)
-        return [results[client.client_id] for client in sampled]
+            results[w :: self.size] = reply
+        return results
 
     def close(self) -> None:
         """Close the pipes and reap every worker. An idle worker exits on

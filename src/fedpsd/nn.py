@@ -36,6 +36,7 @@ class ModelParams:
     out in ``arrays()`` order, so writing through a view writes ``flat``
     and whole-model arithmetic is one operation on ``flat``.
     Construction copies the given arrays in; it never aliases them.
+    A pickled or copied model's arrays are views into its own ``flat``.
     """
 
     weights: list[np.ndarray]
@@ -72,9 +73,10 @@ class ModelParams:
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
         """Parameters with this model's layout over ``flat`` (no copy, no checks)."""
-        out = object.__new__(ModelParams)
-        out._bind(flat, self._shapes)
-        return out
+        return _bound(flat, self._shapes)
+
+    def __reduce__(self):
+        return _bound, (self.flat, self._shapes)
 
     @property
     def num_layers(self) -> int:
@@ -101,6 +103,13 @@ class ModelParams:
             out.append(w)
             out.append(b)
         return out
+
+
+def _bound(flat: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> ModelParams:
+    """A model whose arrays, of ``shapes``, are views into ``flat``."""
+    out = object.__new__(ModelParams)
+    out._bind(flat, shapes)
+    return out
 
 
 def init_model(layer_sizes: list[int], seed: int) -> ModelParams:

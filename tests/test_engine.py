@@ -3,6 +3,8 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -36,6 +38,15 @@ class TestSampleClients:
 
     def test_ceil_rounding(self):
         assert len(sample_clients(10, 0.25, 0, seed=0)) == 3
+
+    @pytest.mark.parametrize(
+        "num_clients, fraction, expected",
+        [(100, 0.07, 7), (50, 0.14, 7), (25, 0.28, 7), (100, 0.55, 55)],
+    )
+    def test_count_is_exact_where_float_ceil_overshoots(self, num_clients, fraction, expected):
+        # 0.07 * 100 == 7.000000000000001 in float64
+        assert len(sample_clients(num_clients, fraction, 0, seed=0)) == expected
+        assert engine.clients_per_round(num_clients, fraction) == expected
 
     def test_keyed_by_seed_and_round(self):
         a = sample_clients(50, 0.2, 4, seed=9)
@@ -379,6 +390,21 @@ class TestPoolGate:
         assert pooled == serial
         assert server.global_params.flat.tobytes() == serial_server.global_params.flat.tobytes()
 
+    def test_uneven_deal_matches_inline_rounds(self, worker_log):
+        # 5 clients on 2 workers: one worker trains 3, the other 2.
+        cfg = _small_cfg(num_clients=5, fraction=1.0, algorithm="fedpsd", workers=2)
+        train, test, inline, inline_clients = _federation(cfg)
+        _, _, pooled, pooled_clients = _federation(cfg)
+        pooled.workers = engine.WorkerPool(2, train, test, pooled_clients, cfg)
+        try:
+            for _ in range(2):  # round 2 sends the workers round 1's histories
+                expected = run_round(inline, inline_clients, train, test, cfg)
+                assert run_round(pooled, pooled_clients, train, test, cfg) == expected
+                assert pooled.global_params.flat.tobytes() == inline.global_params.flat.tobytes()
+        finally:
+            pooled.workers.close()
+        assert len(worker_log.forks) == 2
+
     @pytest.mark.parametrize(
         "workers, fraction, cpus, expected",
         [(1, 1.0, 8, 1), (4, 1.0, 8, 4), (4, 0.5, 8, 3), (4, 1.0, 2, 2)],
@@ -433,6 +459,30 @@ class TestWorkers:
         for pid in worker_log.forks:
             with pytest.raises(ChildProcessError):  # reaped: no longer a child
                 os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_pooled_run_imports_no_multiprocessing_module():
+    # Either import would cost start-up time and memory in every run.
+    code = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"
+        "import fedpsd\n"
+        "from fedpsd.config import ExperimentConfig\n"
+        "from fedpsd.engine import run_experiment, worker_count\n"
+        "cfg = ExperimentConfig(synth_classes=4, synth_dim=8, synth_per_class=30,\n"
+        "    synth_test_per_class=15, num_clients=6, fraction=0.5, t_total=1,\n"
+        "    epochs=1, test_budget=20, sweep_every=0, hidden=(8,), workers=2)\n"
+        "run_experiment(cfg)\n"
+        "print(worker_count(cfg), [m for m in ('multiprocessing', 'concurrent.futures')\n"
+        "                          if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert out.stdout == "2 []\n"
 
 
 class TestRunExperiment:

@@ -3,7 +3,9 @@
 Expected values come from hand arithmetic or independent straight-line
 re-implementations, never from the code under test.
 """
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -119,6 +121,30 @@ class TestModelParams:
         assert not np.shares_memory(model.flat, w) and not np.shares_memory(model.flat, b)
         w[0, 0] = 5.0
         assert model.weights[0][0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "clone, independent",
+        [(lambda m: pickle.loads(pickle.dumps(m, protocol=5)), True),
+         (copy.deepcopy, True),
+         (copy.copy, False)],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_keep_arrays_as_views_into_their_own_flat(self, clone, independent):
+        model = init_model([3, 4, 2], seed=0)
+        original = model.flat.tobytes()
+        other = clone(model)
+        assert other.flat.tobytes() == original
+        assert all(np.shares_memory(a, other.flat) for a in other.arrays())
+        if independent:
+            assert not np.shares_memory(other.flat, model.flat)
+            assert not any(np.shares_memory(a, model.flat) for a in other.arrays())
+        x = np.random.default_rng(1).standard_normal((5, 3))
+        before = forward(other, x)
+        grads = other.with_flat(np.ones_like(other.flat))
+        sgd_step(other, grads, init_optimizer(other, learning_rate=0.1))
+        assert not np.array_equal(forward(other, x), before)
+        if independent:
+            assert model.flat.tobytes() == original
 
     def test_init_model_bad_sizes(self):
         with pytest.raises(ContractViolation):

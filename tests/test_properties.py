@@ -127,7 +127,7 @@ def test_dirichlet_gives_disjoint_bounded_shares(ds, data):
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
     partitions = partition_dirichlet(ds, alpha, k, seed)
     assert [p.client_id for p in partitions] == list(range(k))
-    assert all(1 <= p.n_k <= m // k for p in partitions)
+    assert all(p.n_k == m // k for p in partitions)
     _assert_disjoint_in_range(partitions, m)
 
 
