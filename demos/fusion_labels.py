@@ -6,12 +6,11 @@ of its previous soft outputs P and the one-hot truth Y, with alpha
 growing linearly over the communication rounds: early rounds trust the
 labels, late rounds trust accumulated personal knowledge. Below alpha
 0.5 the true class always keeps the argmax, so the teacher never
-contradicts the label outright. The demo also round-trips a client
-history through its binary wire format.
+contradicts the label outright.
 """
 import numpy as np
 
-from fedpsd import ClientHistory, alpha_schedule, fuse_labels, one_hot
+from fedpsd import alpha_schedule, fuse_labels, one_hot
 
 
 def main() -> None:
@@ -29,15 +28,6 @@ def main() -> None:
         fused = fuse_labels(teacher, truth, alpha)
         marker = "argmax keeps truth" if int(np.argmax(fused)) == 2 else "teacher wins"
         print(f"  alpha {alpha:.2f}: {np.round(fused, 3)}  ({marker})")
-    print()
-
-    rows = np.array([[0.8, 0.1, 0.05, 0.05], [0.2, 0.6, 0.1, 0.1]])
-    history = ClientHistory(probs=rows, recorded_round=7)
-    blob = history.to_bytes(client_id=3)
-    client_id, back = ClientHistory.from_bytes(blob)
-    print(f"history wire format: {len(blob)} bytes for 2 samples x 4 classes")
-    print(f"round-trip: client_id={client_id}, recorded_round={back.recorded_round}, "
-          f"probs equal: {np.array_equal(rows, back.probs)}")
 
 
 if __name__ == "__main__":

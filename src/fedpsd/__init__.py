@@ -14,7 +14,7 @@ from .data import (
     partition_sharding,
     synth_generate,
 )
-from .engine import aggregate, run_experiment
+from .engine import aggregate, run_ablation, run_experiment
 from .nn import (
     ContractViolation,
     ModelParams,
@@ -28,7 +28,6 @@ from .nn import (
     softmax_ce,
 )
 from .psd import (
-    ClientHistory,
     alpha_schedule,
     balanced_prediction,
     calibrated_ce_loss,
@@ -37,12 +36,10 @@ from .psd import (
     proximal_term,
     psd_kd_loss,
 )
-from .cli import run_ablation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClientHistory",
     "ConfigError",
     "ContractViolation",
     "ExperimentConfig",

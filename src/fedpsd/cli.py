@@ -16,91 +16,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, echo_config, parse_config
-from .engine import run_experiment
+from .config import echo_config, parse_config
+from .engine import run_ablation, run_experiment
 from .metrics import (
+    ABLATION_HEADER,
     CSV_HEADER,
     SWEEP_HEADER,
-    MetricsSeries,
     csv_writer,
-    emit_metrics,
     format_round,
     format_sweep,
     load_metrics,
     rounds_to_target,
 )
-
-# Component rows in the order the flags were introduced: history fusion
-# first, then progressive self-distillation, then the calibrated loss.
-ABLATION_ROWS: tuple[tuple[str, bool, bool, bool], ...] = (
-    ("baseline", False, False, False),
-    ("rhpk", True, False, False),
-    ("rhpk_psd", True, True, False),
-    ("fedpsd", True, True, True),
-)
-
-ABLATION_HEADER = "row,rhpk,psd,cll,final_avg_client_top1,delta_vs_baseline"
-
-
-@dataclass(frozen=True)
-class AblationRow:
-    """One flag combination and its 5-round-smoothed final accuracy."""
-
-    name: str
-    rhpk: bool
-    psd: bool
-    cll: bool
-    final_avg_client_top1: float
-    delta_vs_baseline: float
-    series: MetricsSeries
-
-
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def format_ablation_row(row: AblationRow) -> str:
-    return (
-        f"{row.name},{_flag(row.rhpk)},{_flag(row.psd)},{_flag(row.cll)},"
-        f"{row.final_avg_client_top1:.6f},{row.delta_vs_baseline:+.6f}"
-    )
-
-
-def run_ablation(cfg: ExperimentConfig, out_dir=None, log=None) -> list[AblationRow]:
-    """Run the four component rows and report each one's gain over row 1.
-
-    All rows share the config's seed, so the partition, the client
-    sampling sequence, and the batch order are identical across rows;
-    only the flag set differs. The baseline row trains exactly like
-    fedavg. With ``out_dir`` set, each row's per-round CSV lands in
-    ``<name>_metrics.csv`` and the summary table in ``ablation.csv``.
-    """
-    if cfg.algorithm != "fedpsd":
-        raise ConfigError(
-            f"ablation requires algorithm = fedpsd, got {cfg.algorithm!r}"
-        )
-    rows: list[AblationRow] = []
-    baseline_final = 0.0
-    for name, rhpk, psd, cll in ABLATION_ROWS:
-        row_cfg = dataclasses.replace(cfg, rhpk=rhpk, psd=psd, cll=cll)
-        series = run_experiment(row_cfg)
-        final = series.final_avg_client_top1()
-        if name == "baseline":
-            baseline_final = final
-        row = AblationRow(name, rhpk, psd, cll, final, final - baseline_final, series)
-        rows.append(row)
-        if log is not None:
-            log(format_ablation_row(row))
-        if out_dir is not None:
-            emit_metrics(series, Path(out_dir) / f"{name}_metrics.csv")
-    if out_dir is not None:
-        with csv_writer(Path(out_dir) / "ablation.csv", ABLATION_HEADER) as write_row:
-            for row in rows:
-                write_row(format_ablation_row(row))
-    return rows
 
 
 def _cmd_run(args, stdout) -> int:

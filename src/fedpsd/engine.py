@@ -12,18 +12,20 @@ min(workers, ceil(C*K), cpu count) worker processes (``WorkerPool``,
 POSIX ``fork`` only), forked when the first round trains and reaped when
 the run ends; each returns the same ``ModelParams``, history, losses and
 accuracy that ``run_round`` computes on the calling thread when the
-server has no workers.
+server has no workers. ``run_ablation`` runs the four FedPSD component
+rows of one config.
 """
 from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-from .config import SAMPLING_STREAM, ExperimentConfig
+from .config import SAMPLING_STREAM, ConfigError, ExperimentConfig
 from .data import (
     ClientPartition,
     LabeledDataset,
@@ -34,13 +36,22 @@ from .data import (
     partition_sharding,
     synth_generate,
 )
-from .metrics import MetricsSeries, RoundRecord, SweepRecord
+from .metrics import (
+    ABLATION_HEADER,
+    AblationRow,
+    MetricsSeries,
+    RoundRecord,
+    SweepRecord,
+    csv_writer,
+    emit_metrics,
+    format_ablation_row,
+)
 from .nn import ContractViolation, ModelParams, forward, init_model, top1_accuracy
-from .psd import ClientHistory, local_train_fedpsd
+from .psd import local_train_fedpsd
 
 # What training one client yields: its parameters, its new history (None
-# outside fedpsd), its per-batch losses and its local-test accuracy.
-ClientResult = tuple[ModelParams, ClientHistory | None, list[float], float]
+# unless rhpk reads it), its per-batch losses and its local-test accuracy.
+ClientResult = tuple[ModelParams, np.ndarray | None, list[float], float]
 
 
 @dataclass
@@ -55,7 +66,7 @@ class ClientState:
     client_id: int
     partition: ClientPartition
     prior: np.ndarray
-    history: ClientHistory | None = None
+    history: np.ndarray | None = None
     # Local-test accuracy of the model the client trained when it was
     # last sampled; None until then.
     last_accuracy: float | None = None
@@ -128,11 +139,11 @@ def _train_one(
     global_params: ModelParams,
     round_t: int,
     client: ClientState,
-    history: ClientHistory | None,
+    history: np.ndarray | None,
     train: LabeledDataset,
     lr: float,
     cfg: ExperimentConfig,
-) -> tuple[ModelParams, ClientHistory | None, list[float]]:
+) -> tuple[ModelParams, np.ndarray | None, list[float]]:
     idx = client.partition.train_indices
     return local_train_fedpsd(
         global_params, train.rows(idx), train.labels[idx], client.prior,
@@ -161,11 +172,11 @@ class WorkerPool:
     that already holds the train and test sets and every client's
     partition and prior, so none of that is sent. Each round a worker
     receives the global ``ModelParams``, the round, the lr and the id
-    and ``ClientHistory`` of every size-th sampled client (all clients
-    of a run have the same n_k, so dealing in turn balances the work);
-    it replies with each one's ``ClientResult``. Both ends of each pipe
-    are this module's, so the pickles read are only ones it wrote.
-    ``close`` reaps the workers.
+    and history array (or None) of every size-th sampled client (all
+    clients of a run have the same n_k, so dealing in turn balances the
+    work); it replies with each one's ``ClientResult``. Both ends of
+    each pipe are this module's, so the pickles read are only ones it
+    wrote. ``close`` reaps the workers.
     """
 
     def __init__(
@@ -430,3 +441,45 @@ def run_experiment(
         if server.workers is not None:
             server.workers.close()
     return MetricsSeries(rounds=rounds, sweeps=sweeps)
+
+
+# Component rows in the order the flags were introduced: history fusion
+# first, then progressive self-distillation, then the calibrated loss.
+ABLATION_ROWS: tuple[tuple[str, bool, bool, bool], ...] = (
+    ("baseline", False, False, False),
+    ("rhpk", True, False, False),
+    ("rhpk_psd", True, True, False),
+    ("fedpsd", True, True, True),
+)
+
+
+def run_ablation(cfg: ExperimentConfig, out_dir=None, log=None) -> list[AblationRow]:
+    """Run the four component rows and report each one's gain over row 1.
+
+    All rows share the config's seed, so the partition, the client
+    sampling sequence, and the batch order are identical across rows;
+    only the flag set differs. The baseline row trains exactly like
+    fedavg. With ``out_dir`` set, each row's per-round CSV lands in
+    ``<name>_metrics.csv`` and the summary table in ``ablation.csv``.
+    """
+    if cfg.algorithm != "fedpsd":
+        raise ConfigError(f"ablation requires algorithm = fedpsd, got {cfg.algorithm!r}")
+    rows: list[AblationRow] = []
+    baseline_final = 0.0
+    for name, rhpk, psd, cll in ABLATION_ROWS:
+        row_cfg = replace(cfg, rhpk=rhpk, psd=psd, cll=cll)
+        series = run_experiment(row_cfg)
+        final = series.final_avg_client_top1()
+        if name == "baseline":
+            baseline_final = final
+        row = AblationRow(name, rhpk, psd, cll, final, final - baseline_final, series)
+        rows.append(row)
+        if log is not None:
+            log(format_ablation_row(row))
+        if out_dir is not None:
+            emit_metrics(series, Path(out_dir) / f"{name}_metrics.csv")
+    if out_dir is not None:
+        with csv_writer(Path(out_dir) / "ablation.csv", ABLATION_HEADER) as write_row:
+            for row in rows:
+                write_row(format_ablation_row(row))
+    return rows

@@ -8,6 +8,7 @@ import numpy as np
 
 CSV_HEADER = "round,avg_client_top1,server_top1,mean_local_loss,sampled"
 SWEEP_HEADER = "round,all_client_top1"
+ABLATION_HEADER = "row,rhpk,psd,cll,final_avg_client_top1,delta_vs_baseline"
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,19 @@ class MetricsSeries:
         return float(np.mean([r.server_top1 for r in tail]))
 
 
+@dataclass(frozen=True)
+class AblationRow:
+    """One flag combination and its 5-round-smoothed final accuracy."""
+
+    name: str
+    rhpk: bool
+    psd: bool
+    cll: bool
+    final_avg_client_top1: float
+    delta_vs_baseline: float
+    series: MetricsSeries
+
+
 def format_round(record: RoundRecord) -> str:
     ids = ";".join(str(c) for c in record.sampled)
     return (
@@ -54,6 +68,17 @@ def format_round(record: RoundRecord) -> str:
 
 def format_sweep(sweep: SweepRecord) -> str:
     return f"{sweep.round},{sweep.all_client_top1:.6f}"
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def format_ablation_row(row: AblationRow) -> str:
+    return (
+        f"{row.name},{_flag(row.rhpk)},{_flag(row.psd)},{_flag(row.cll)},"
+        f"{row.final_avg_client_top1:.6f},{row.delta_vs_baseline:+.6f}"
+    )
 
 
 @contextmanager

@@ -9,16 +9,14 @@ vector and the one-hot ground truth, weighted by a linearly growing
 schedule over rounds.
 
 Teachers come from two places. In the first local epoch the teacher is
-the client's stored history: the softmax outputs recorded after its
-previous participation. In later epochs the teacher is the previous
-epoch's own (detached) outputs. Disabling the corresponding flags
+the client's history, kept only under rhpk: the (n_k, L) softmax array
+recorded after its previous participation. In later epochs the teacher
+is the previous epoch's own (detached) outputs. Disabling the flags
 removes each term; with everything off FedPSD runs the FedAvg update.
 """
 from __future__ import annotations
 
-import struct
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +35,6 @@ from .nn import (
     softmax_ce,
 )
 
-_HISTORY_HEADER = struct.Struct("<4q")  # client_id, recorded_round, n_k, num_classes
-
 
 def _check_prob_rows(rows: np.ndarray, what: str) -> np.ndarray:
     """``rows`` as float64; raises unless it is non-empty and every row
@@ -51,45 +47,6 @@ def _check_prob_rows(rows: np.ndarray, what: str) -> np.ndarray:
     ):
         raise ContractViolation(f"{what} rows must be probability vectors summing to 1 within 1e-9")
     return rows
-
-
-@dataclass
-class ClientHistory:
-    """Per-sample softmax outputs from a client's last participation.
-
-    ``probs`` has one row per local train sample, aligned to the order
-    of the client's train_indices: n_k * L floats. This is all that
-    FedPSD's training reads from a past round.
-    """
-
-    probs: np.ndarray
-    recorded_round: int
-
-    def __post_init__(self) -> None:
-        self.probs = _check_prob_rows(self.probs, "history")
-        if self.probs.ndim != 2:
-            raise ContractViolation(f"history probs must be 2-D, got {self.probs.shape}")
-
-    def to_bytes(self, client_id: int) -> bytes:
-        n, l = self.probs.shape
-        header = _HISTORY_HEADER.pack(client_id, self.recorded_round, n, l)
-        return header + self.probs.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> tuple[int, "ClientHistory"]:
-        if len(data) < _HISTORY_HEADER.size:
-            raise ValueError(f"truncated history record at byte offset {len(data)}")
-        client_id, recorded_round, n, l = _HISTORY_HEADER.unpack_from(data, 0)
-        for offset, dim in ((16, n), (24, l)):
-            if dim < 0:
-                raise ValueError(f"negative history dimension {dim} at byte offset {offset}")
-        need = _HISTORY_HEADER.size + n * l * 8
-        if len(data) != need:
-            raise ValueError(
-                f"history record ends at byte offset {len(data)}, expected {need}"
-            )
-        probs = np.frombuffer(data, dtype="<f8", offset=_HISTORY_HEADER.size)
-        return int(client_id), cls(probs.reshape(n, l).copy(), int(recorded_round))
 
 
 def alpha_schedule(round_t: int, t_total: int) -> float:
@@ -244,26 +201,30 @@ def local_train_fedpsd(
     features: np.ndarray,
     labels: np.ndarray,
     prior: np.ndarray,
-    history: ClientHistory | None,
+    history: np.ndarray | None,
     client_id: int,
     round_t: int,
     lr: float,
     cfg: ExperimentConfig,
-) -> tuple[ModelParams, ClientHistory | None, list[float]]:
+) -> tuple[ModelParams, np.ndarray | None, list[float]]:
     """One client's local update for ``cfg.algorithm``: E epochs of SGD.
 
     fedavg minimises cross-entropy and fedprox adds the proximal pull
     toward ``global_params``. fedpsd calibrates the cross-entropy with
     ``prior`` (cll), distills epoch 1 toward the fused history teacher
     (rhpk) when the client has one, and distills later epochs toward
-    the fused outputs cached during the previous epoch (psd); after the
-    last epoch the trained model's softmax outputs over the full local
-    set become the new history. Returns (params, history, per-batch
-    losses); the history is None outside fedpsd.
+    the fused outputs cached during the previous epoch (psd).
+
+    Under rhpk, the only reader, the new history is the trained model's
+    (n_k, L) softmax over the full local set: the plain softmax of
+    uncalibrated logits, the code's reading of the paper's "calibrated
+    fusion labels". Returns (params, history, per-batch losses); the
+    history is None unless fedpsd runs with rhpk.
     """
     n = labels.shape[0]
     num_classes = global_params.num_classes
     fedpsd = cfg.algorithm == "fedpsd"
+    rhpk = fedpsd and cfg.rhpk
     prox = cfg.algorithm == "fedprox"
     alpha = alpha_schedule(round_t, cfg.t_total) if fedpsd else 0.0
     params = global_params.copy()
@@ -273,9 +234,9 @@ def local_train_fedpsd(
 
     onehots = one_hot(labels, num_classes)
     log_prior = np.log(_prior_probs(prior)) if fedpsd and cfg.cll else None
-    if history is not None and history.probs.shape != (n, num_classes):
+    if history is not None and np.shape(history) != (n, num_classes):
         raise ContractViolation(
-            f"client {client_id} history shape {history.probs.shape} does not match "
+            f"client {client_id} history shape {np.shape(history)} does not match "
             f"({n}, {num_classes}); partitions must stay fixed across rounds"
         )
     cache = np.empty((n, num_classes)) if fedpsd and cfg.psd else None
@@ -283,8 +244,8 @@ def local_train_fedpsd(
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         teacher = None
-        if epoch == 0 and fedpsd and cfg.rhpk and history is not None:
-            teacher = fuse_labels(history.probs, onehots, alpha)
+        if epoch == 0 and rhpk and history is not None:
+            teacher = fuse_labels(history, onehots, alpha)
         elif epoch > 0 and cache is not None:
             teacher = fuse_labels(cache, onehots, alpha)
         # The cache written during this epoch feeds the next one.
@@ -318,7 +279,6 @@ def local_train_fedpsd(
                 ) from exc
             losses.append(loss)
 
-    if not fedpsd:
+    if not rhpk:
         return params, None, losses
-    new_history = ClientHistory(softmax(forward(params, features)), recorded_round=round_t)
-    return params, new_history, losses
+    return params, softmax(forward(params, features)), losses

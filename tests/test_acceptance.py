@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedpsd.cli import run_ablation
 from fedpsd.config import ExperimentConfig
 from fedpsd.data import (
     load_idx_files,
@@ -20,7 +19,7 @@ from fedpsd.data import (
     partition_sharding,
     synth_generate,
 )
-from fedpsd.engine import aggregate, build_federation, run_experiment, run_round
+from fedpsd.engine import aggregate, build_federation, run_ablation, run_experiment, run_round
 from fedpsd.metrics import rounds_to_target
 from fedpsd.nn import (
     finite_diff_check,

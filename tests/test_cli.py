@@ -1,13 +1,16 @@
 """End-to-end CLI behaviour on tiny synthetic runs."""
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
 from fedpsd import engine
-from fedpsd.cli import ABLATION_HEADER, main, run_ablation
+from fedpsd.cli import main
 from fedpsd.config import ConfigError, ExperimentConfig, parse_config
-from fedpsd.engine import run_experiment
-from fedpsd.metrics import CSV_HEADER, emit_metrics, emit_sweeps, load_metrics
+from fedpsd.engine import run_ablation, run_experiment
+from fedpsd.metrics import ABLATION_HEADER, CSV_HEADER, emit_metrics, emit_sweeps, load_metrics
 
 # Small enough to train in well under a second per run.
 TINY = """
@@ -146,6 +149,22 @@ class TestAblate:
     def test_run_ablation_rejects_fedavg(self):
         with pytest.raises(ConfigError, match="fedpsd"):
             run_ablation(ExperimentConfig())
+
+
+def test_importing_the_package_loads_no_cli():
+    # The library must not pull in its front-end or argparse.
+    code = (
+        "import sys\n"
+        "import fedpsd\n"
+        "print([m for m in ('argparse', 'fedpsd.cli') if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert out.stdout == "[]\n"
 
 
 class TestSummarize:

@@ -238,7 +238,7 @@ class TestLocalBaseline:
         assert len(params.arrays()) == len(want_params)
         for got, want in zip(params.arrays(), want_params):
             assert np.array_equal(got, want)
-        assert (history is None) == (cfg.algorithm != "fedpsd")
+        assert (history is None) == (cfg.algorithm != "fedpsd" or not cfg.rhpk)
 
     @pytest.mark.parametrize(
         "overrides",

@@ -10,7 +10,6 @@ from fedpsd.config import ConfigError, ExperimentConfig, echo_config, parse_conf
 from fedpsd.data import LabeledDataset, partition_dirichlet, partition_sharding
 from fedpsd.engine import aggregate
 from fedpsd.nn import init_model
-from fedpsd.psd import ClientHistory
 
 
 def _floats(lo, hi=None, exclude_min=False, exclude_max=False):
@@ -129,28 +128,3 @@ def test_dirichlet_gives_disjoint_bounded_shares(ds, data):
     assert [p.client_id for p in partitions] == list(range(k))
     assert all(p.n_k == m // k for p in partitions)
     _assert_disjoint_in_range(partitions, m)
-
-
-@st.composite
-def _histories(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    l = draw(st.integers(min_value=1, max_value=8))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    probs = np.random.default_rng(seed).dirichlet(np.ones(l), size=n)
-    recorded_round = draw(st.integers(min_value=0, max_value=2**63 - 1))
-    return ClientHistory(probs, recorded_round)
-
-
-@given(_histories(), st.integers(min_value=0, max_value=2**63 - 1))
-def test_history_wire_round_trip(hist, client_id):
-    cid, back = ClientHistory.from_bytes(hist.to_bytes(client_id))
-    assert cid == client_id and back.recorded_round == hist.recorded_round
-    assert back.probs.tobytes() == hist.probs.tobytes()
-
-
-@given(_histories())
-def test_history_every_strict_prefix_is_rejected(hist):
-    record = hist.to_bytes(client_id=1)
-    for end in range(len(record)):
-        with pytest.raises(ValueError, match="byte offset"):
-            ClientHistory.from_bytes(record[:end])
