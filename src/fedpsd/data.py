@@ -4,11 +4,14 @@ Covers the IDX image format (read and write), a synthetic
 Gaussian-blob generator for desk-scale experiments, the two client
 partitioning strategies (pathological sharding and per-client
 Dirichlet proportions), matched per-client test splits, and smoothed
-class priors. IDX pixels stay the file's bytes; a consumer reads
-float64 rows, pixel / 255, through ``LabeledDataset.rows``.
+class priors. IDX files are mapped read-only and their pixels stay
+the file's bytes, never copied; a consumer reads float64 rows,
+pixel / 255, through ``LabeledDataset.rows``.
 """
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -196,12 +199,24 @@ def save_idx(dataset: LabeledDataset, rows: int = 0, cols: int = 0) -> tuple[byt
     return images, labels
 
 
+def _map_file(path):
+    """The file's bytes, mapped read-only; an empty file (which mmap
+    refuses) reads as ``b""``, so its parse error names offset 0."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
 def load_idx_files(images_path, labels_path) -> LabeledDataset:
-    with open(images_path, "rb") as fh:
-        images_bytes = fh.read()
-    with open(labels_path, "rb") as fh:
-        labels_bytes = fh.read()
-    return load_idx(images_bytes, labels_bytes)
+    """``load_idx`` over the two files, each mapped read-only.
+
+    The pixels are a read-only view of the mapped images file, so no
+    copy of it is made, and forked workers share its pages through the
+    page cache. Do not rewrite or truncate a file while a run reads
+    it: a read past the new end faults with SIGBUS, not an error.
+    """
+    return load_idx(_map_file(images_path), _map_file(labels_path))
 
 
 def synth_generate(

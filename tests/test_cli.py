@@ -117,6 +117,15 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_empty_idx_file_exits_one(self, tmp_path, capsys):
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+                     "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+            (tmp_path / name).write_bytes(b"")
+        text = TINY.replace("dataset = synthetic", f"dataset = mnist\nmnist_dir = {tmp_path}")
+        cfg_path = _write_config(tmp_path, text)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "truncated images header at byte offset 0" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_four_rows_and_files(self, tmp_path, capsys):

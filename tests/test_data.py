@@ -13,6 +13,7 @@ from fedpsd.data import (
     class_prior,
     client_test_split,
     load_idx,
+    load_idx_files,
     partition_dirichlet,
     partition_sharding,
     save_idx,
@@ -129,6 +130,40 @@ class TestIdx:
         ds = LabeledDataset(np.array([[1.5, 0.0]]), np.array([0]), num_classes=1)
         with pytest.raises(ContractViolation):
             save_idx(ds)
+
+
+def _write_idx_files(directory, images, labels):
+    (directory / "images").write_bytes(images)
+    (directory / "labels").write_bytes(labels)
+    return directory / "images", directory / "labels"
+
+
+class TestIdxFiles:
+    @pytest.mark.parametrize("empty", ["images", "labels"])
+    def test_empty_file_names_its_header(self, tmp_path, empty):
+        images, labels = _idx_pair([[0, 255, 9, 1]], [0])
+        files = {"images": images, "labels": labels, empty: b""}
+        paths = _write_idx_files(tmp_path, files["images"], files["labels"])
+        with pytest.raises(IdxParseError, match=f"^truncated {empty} header at byte offset 0$"):
+            load_idx_files(*paths)
+
+    def test_mapped_pixels_are_read_only(self, tmp_path):
+        images, labels = _idx_pair([[0, 255, 9, 1], [3, 4, 5, 6]], [0, 1])
+        ds = load_idx_files(*_write_idx_files(tmp_path, images, labels))
+        assert ds.pixels and not ds.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.values[0, 0] = 7
+        assert (tmp_path / "images").read_bytes() == images
+
+    def test_rows_are_fresh_writable_floats(self, tmp_path):
+        images, labels = _idx_pair([[0, 255, 9, 1], [3, 4, 5, 6]], [0, 1])
+        ds = load_idx_files(*_write_idx_files(tmp_path, images, labels))
+        for idx in (slice(None), slice(1, 2), np.array([1, 0, 1])):
+            rows = ds.rows(idx)
+            assert rows.dtype == np.float64 and rows.flags.writeable
+            assert not np.shares_memory(rows, ds.values)
+            rows[...] = -1.0
+        assert ds.rows().tobytes() == (np.array([[0, 255, 9, 1], [3, 4, 5, 6]]) / 255.0).tobytes()
 
 
 class TestSynth:

@@ -563,17 +563,57 @@ class TestIdxClassCount:
         _write_idx_dir(tmp_path, _idx_split(4, 20, seed=0), _idx_split(4, 10, seed=1))
         cfg = ExperimentConfig(mnist_dir=str(tmp_path), **{**self.CFG, "t_total": 2, "sweep_every": 1})
         train, test = engine._load_dataset_pair(cfg)
-        # Train rows stay bytes; the whole test set is read every round,
-        # so it is converted once.
-        assert train.pixels and not test.pixels
-        whole = LabeledDataset.features.fget
+        # Both sets stay bytes: a client converts its own rows, the server
+        # eval one block at a time (here three of the 40 test rows).
+        assert train.pixels and test.pixels
+        monkeypatch.setattr(engine, "EVAL_BLOCK_ROWS", 16)
+        rows = LabeledDataset.rows
 
-        def refuse_pixels(ds):
-            if ds.pixels:
-                raise AssertionError("a pixel-backed set was materialised through .features")
-            return whole(ds)
+        def refuse_whole_set(ds, idx=slice(None)):
+            out = rows(ds, idx)
+            if ds.pixels and out.shape[0] == ds.num_samples:
+                raise AssertionError("a whole pixel-backed set was converted to float64")
+            return out
 
-        monkeypatch.setattr(LabeledDataset, "features", property(refuse_pixels))
-        series = run_experiment(cfg)
-        assert [r.round for r in series.rounds] == [1, 2]
-        assert [s.round for s in series.sweeps] == [1, 2]
+        # .features reads through rows(), so this refuses it too.
+        monkeypatch.setattr(LabeledDataset, "rows", refuse_whole_set)
+        for workers in (1, 2):  # the clients train here, then in forked workers
+            series = run_experiment(dataclasses.replace(cfg, workers=workers))
+            assert [r.round for r in series.rounds] == [1, 2]
+            assert [s.round for s in series.sweeps] == [1, 2]
+
+
+class TestServerEval:
+    @pytest.mark.parametrize(
+        "n", [2 * engine.EVAL_BLOCK_ROWS + 37, engine.EVAL_BLOCK_ROWS + 1, 37],
+        ids=["two_blocks_and_37", "one_block_and_1", "under_one_block"],
+    )
+    def test_blocked_eval_is_one_whole_set_forward(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        test = LabeledDataset(
+            rng.integers(0, 256, (n, 784), dtype=np.uint8), rng.integers(0, 10, n), 10,
+            pixels=True,
+        )
+        train = LabeledDataset(
+            rng.integers(0, 256, (40, 784), dtype=np.uint8), np.repeat(np.arange(10), 4), 10,
+            pixels=True,
+        )
+        cfg = _small_cfg(hidden=(128,), num_clients=2, fraction=1.0, t_total=1, epochs=1)
+        server, clients = build_federation(cfg, train, test)
+        blocks = []
+
+        def spy(model, batch):
+            logits = forward(model, batch)
+            if model is server.global_params:
+                blocks.append(logits)
+            return logits
+
+        monkeypatch.setattr(engine, "forward", spy)
+        report = run_round(server, clients, train, test, cfg)
+        whole = forward(server.global_params, test.rows())
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert report.server_accuracy == top1_accuracy(whole, test.labels)
+        assert type(report.server_accuracy) is float
+        sizes = [b.shape[0] for b in blocks]
+        assert len(sizes) == -(-n // engine.EVAL_BLOCK_ROWS)
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= engine.EVAL_BLOCK_ROWS
