@@ -118,7 +118,10 @@ class ClientPartition:
         self.test_indices = np.asarray(self.test_indices, dtype=np.int64)
         if self.train_indices.size < 1:
             raise PartitionError(f"client {self.client_id} received no training samples")
-        if np.unique(self.train_indices).size != self.train_indices.size:
+        # Sorted neighbours, not np.unique: numpy 2.x imports numpy.ma on
+        # the first np.unique call, which no run otherwise needs.
+        ordered = np.sort(self.train_indices, axis=None)
+        if (ordered[1:] == ordered[:-1]).any():
             raise PartitionError(f"client {self.client_id} has duplicate train indices")
 
     @property

@@ -8,7 +8,7 @@ parameters and evaluates it on the pooled test set. Per-client RNG
 streams are keyed by (seed, round, client_id) and updates are summed in
 sampled order, so results never depend on where a client trained. With
 ``workers`` > 1, ``run_experiment`` trains each round's clients in
-min(workers, ceil(C*K), cpu count) worker processes (``WorkerPool``,
+min(workers, ceil(C*K), usable cpus) worker processes (``WorkerPool``,
 POSIX ``fork`` only), forked when the first round trains and reaped when
 the run ends; each returns the same ``ModelParams``, history, losses and
 accuracy that ``run_round`` computes on the calling thread when the
@@ -160,12 +160,18 @@ def _local_accuracy(params: ModelParams, client: ClientState, test: LabeledDatas
 
 
 def worker_count(cfg: ExperimentConfig) -> int:
-    """Worker processes for a run: min(workers, ceil(C*K), cpu count).
+    """Worker processes for a run: min(workers, ceil(C*K), usable cpus).
 
-    More would sit idle: a round trains ceil(C*K) clients, and each
-    worker trains on one core.
+    More would sit idle or time-share a core: a round trains ceil(C*K)
+    clients, and each worker trains on one core. The usable cpus are the
+    process's affinity set where the OS reports one (``taskset`` or a
+    cpuset narrows it), else the machine's cpu count.
     """
-    return min(cfg.workers, clients_per_round(cfg.num_clients, cfg.fraction), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cfg.workers, clients_per_round(cfg.num_clients, cfg.fraction), cpus)
 
 
 class WorkerPool:
@@ -196,9 +202,16 @@ class WorkerPool:
 
     def _fork(self) -> None:
         for _ in range(self.size):
-            requests_r, requests_w = os.pipe()
-            replies_r, replies_w = os.pipe()
-            pid = os.fork()
+            fds: list[int] = []
+            try:
+                fds += os.pipe()
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError:  # EMFILE, EAGAIN, ENOMEM: no worker holds these pipes
+                for fd in fds:
+                    os.close(fd)
+                raise
+            requests_r, requests_w, replies_r, replies_w = fds
             if pid == 0:
                 status = 1
                 try:

@@ -120,8 +120,9 @@ def local_loss(
     KL(teacher || softmax(logits)) when ``teacher`` rows are given; the
     distillation term always sees the uncalibrated logits. Returns
     (loss, dlogits, probs), with probs the student softmax when the KL
-    term ran and None otherwise. Inputs are not checked here: the
-    trainer validates once per call or per epoch, never per batch.
+    term ran and None otherwise. The trainer validates its inputs once
+    per call or per epoch; the only per-batch check is ``softmax_ce``'s
+    label dtype and range check, kept because that function is public.
     """
     loss, dlogits, probs = 0.0, None, None
     if labels is not None:

@@ -212,6 +212,23 @@ class TestSynth:
             synth_generate(1, 4, 5, seed=0, spread=0.1)
 
 
+class TestClientPartition:
+    @pytest.mark.parametrize("indices", [[4, 1, 4], [1, 4, 4]])
+    def test_duplicate_train_indices_rejected(self, indices):
+        with pytest.raises(PartitionError, match="client 7 has duplicate train indices"):
+            ClientPartition(7, np.array(indices))
+
+    def test_empty_train_indices_rejected(self):
+        with pytest.raises(PartitionError, match="client 2 received no training samples"):
+            ClientPartition(2, np.empty(0, dtype=np.int64))
+
+    def test_unsorted_distinct_indices_accepted(self):
+        part = ClientPartition(0, [5, 0, 3])
+        assert part.train_indices.dtype == np.int64
+        assert part.train_indices.tolist() == [5, 0, 3]  # order kept
+        assert part.n_k == 3
+
+
 class TestSharding:
     def test_single_client_owns_everything(self):
         ds = synth_generate(3, 4, 10, seed=0, spread=0.2)

@@ -1,5 +1,6 @@
 """Round loop, aggregation, baselines, and end-to-end determinism."""
 import dataclasses
+import errno
 import math
 import os
 import re
@@ -340,7 +341,7 @@ class TestRunRound:
 def worker_log(monkeypatch):
     """Records the pid of each worker process this process forks and the
     thread of each client trained in this process (a worker's records
-    stay in the worker). Reports 8 cpus, so the cpu count caps no run."""
+    stay in the worker). Allows 8 cpus, so the cpu count caps no run."""
     log = SimpleNamespace(forks=[], threads=[])
     real_fork, real_train = os.fork, engine._train_one
 
@@ -355,7 +356,7 @@ def worker_log(monkeypatch):
         return real_train(*args)
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(engine, "_train_one", train_one)
     return log
 
@@ -407,12 +408,20 @@ class TestPoolGate:
 
     @pytest.mark.parametrize(
         "workers, fraction, cpus, expected",
-        [(1, 1.0, 8, 1), (4, 1.0, 8, 4), (4, 0.5, 8, 3), (4, 1.0, 2, 2)],
+        [(1, 1.0, 8, 1), (4, 1.0, 8, 4), (4, 0.5, 8, 3), (4, 1.0, 2, 2), (4, 1.0, 1, 1)],
     )
     def test_worker_count_is_capped(self, monkeypatch, workers, fraction, cpus, expected):
-        # _small_cfg has 6 clients: fraction 0.5 samples 3 a round.
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        # _small_cfg has 6 clients: fraction 0.5 samples 3 a round. The
+        # machine has 8 cpus; the process may use ``cpus`` of them, as
+        # under taskset or a cpuset.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert engine.worker_count(_small_cfg(workers=workers, fraction=fraction)) == expected
+
+    def test_worker_count_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity call here
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert engine.worker_count(_small_cfg(workers=4)) == 2
 
     def test_workers_fork_once_when_the_first_round_trains(self, worker_log, monkeypatch):
         forked_at_round_start = []
@@ -451,6 +460,24 @@ class TestWorkers:
         named = int(re.search(r"process (\d+)", str(info.value)).group(1))
         assert named in worker_log.forks
 
+    # The second worker's fork, or its second pipe, fails.
+    @pytest.mark.parametrize("call, nth", [("fork", 2), ("pipe", 4)])
+    def test_failed_fork_leaves_no_pipe_open(self, worker_log, monkeypatch, call, nth):
+        real, calls = getattr(os, call), []
+
+        def fails_once():
+            calls.append(None)
+            if len(calls) == nth:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, call, fails_once)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="Resource temporarily unavailable"):
+            run_experiment(_small_cfg(workers=2))
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert len(worker_log.forks) == 1  # reaped by the run, as the fixture checks
+
     def test_no_worker_outlives_the_run(self, worker_log):
         run_experiment(_small_cfg(workers=2, t_total=2))
         with pytest.raises(FloatingPointError):
@@ -462,10 +489,11 @@ class TestWorkers:
 
 
 def test_a_pooled_run_imports_no_multiprocessing_module():
-    # Either import would cost start-up time and memory in every run.
+    # Any of these imports would cost start-up time and memory in every
+    # run.
     code = (
         "import os, sys\n"
-        "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "import fedpsd\n"
         "from fedpsd.config import ExperimentConfig\n"
         "from fedpsd.engine import run_experiment, worker_count\n"
@@ -473,8 +501,8 @@ def test_a_pooled_run_imports_no_multiprocessing_module():
         "    synth_test_per_class=15, num_clients=6, fraction=0.5, t_total=1,\n"
         "    epochs=1, test_budget=20, sweep_every=0, hidden=(8,), workers=2)\n"
         "run_experiment(cfg)\n"
-        "print(worker_count(cfg), [m for m in ('multiprocessing', 'concurrent.futures')\n"
-        "                          if m in sys.modules])\n"
+        "print(worker_count(cfg), [m for m in ('multiprocessing', 'concurrent.futures',\n"
+        "                                      'numpy.ma') if m in sys.modules])\n"
     )
     src = os.path.dirname(os.path.dirname(engine.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
