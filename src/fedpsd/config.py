@@ -1,17 +1,18 @@
 """Experiment configuration: a flat key=value file format with strict
 validation, plus the canonical echo used for provenance.
 
-Unknown keys, duplicate keys, bad types, and out-of-range values are
-all rejected with the offending line number. Missing keys fall back to
-the standard defaults (100 clients, 10% participation, 5 local epochs,
-200 rounds, batch 50, lr 0.01 decayed by 0.99, momentum 0.9, weight
-decay 1e-5).
+Each ``ExperimentConfig`` field declares its file key and parser. Unknown
+keys, duplicate keys, bad types, and out-of-range values are rejected
+with the offending line number, and a config built in code is held to
+the same parsers. Missing keys fall back to the standard defaults (100
+clients, 10% participation, 5 local epochs, 200 rounds, batch 50, lr
+0.01 decayed by 0.99, momentum 0.9, weight decay 1e-5).
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 # Shared RNG stream tags. Client sampling and the per-client batch
 # shuffle must draw from the same streams in every algorithm so that
@@ -24,40 +25,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dataset: str = "synthetic"
-    mnist_dir: str = ""
-    partition: str = "sharding"
-    shards_per_client: int = 2
-    dirichlet_alpha: float = 0.1
-    num_clients: int = 100
-    fraction: float = 0.1
-    t_total: int = 200
-    epochs: int = 5
-    batch_size: int = 50
-    base_lr: float = 0.01
-    lr_decay: float = 0.99
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
-    hidden: tuple[int, ...] = (128,)
-    algorithm: str = "fedavg"
-    prox_mu: float = 0.01
-    rhpk: bool = True
-    psd: bool = True
-    cll: bool = True
-    prior_epsilon: float = 1.0
-    test_budget: int = 100
-    sweep_every: int = 10
-    workers: int = 1
-    seed: int = 0
-    synth_classes: int = 10
-    synth_dim: int = 32
-    synth_per_class: int = 500
-    synth_test_per_class: int = 100
-    synth_spread: float = 0.45
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "1", "yes", "on"):
@@ -67,30 +34,34 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int(raw: str, lo=None, hi=None):
-    val = int(raw)
-    if lo is not None and val < lo:
-        raise ValueError(f"must be >= {lo}, got {val}")
-    if hi is not None and val > hi:
-        raise ValueError(f"must be <= {hi}, got {val}")
-    return val
+def _at_least(lo: int):
+    def parse(raw: str) -> int:
+        val = int(raw)
+        if val < lo:
+            raise ValueError(f"must be >= {lo}, got {val}")
+        return val
+    return parse
 
 
-def _parse_float(raw: str, lo=None, hi=None, lo_open=False, hi_open=False):
-    val = float(raw)
-    if not math.isfinite(val):  # NaN would pass every comparison below
-        raise ValueError(f"must be finite, got {val}")
-    if lo is not None and (val < lo or (lo_open and val == lo)):
-        raise ValueError(f"must be {'>' if lo_open else '>='} {lo}, got {val}")
-    if hi is not None and (val > hi or (hi_open and val == hi)):
-        raise ValueError(f"must be {'<' if hi_open else '<='} {hi}, got {val}")
-    return val
+def _float(lo=None, hi=None, lo_open=False, hi_open=False):
+    def parse(raw: str) -> float:
+        val = float(raw)
+        if not math.isfinite(val):  # NaN would pass every comparison below
+            raise ValueError(f"must be finite, got {val}")
+        if lo is not None and (val < lo or (lo_open and val == lo)):
+            raise ValueError(f"must be {'>' if lo_open else '>='} {lo}, got {val}")
+        if hi is not None and (val > hi or (hi_open and val == hi)):
+            raise ValueError(f"must be {'<' if hi_open else '<='} {hi}, got {val}")
+        return val
+    return parse
 
 
-def _parse_choice(raw: str, options: tuple[str, ...]) -> str:
-    if raw not in options:
-        raise ValueError(f"expected one of {', '.join(options)}; got {raw!r}")
-    return raw
+def _choice(*options: str):
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {', '.join(options)}; got {raw!r}")
+        return raw
+    return parse
 
 
 def _parse_hidden(raw: str) -> tuple[int, ...]:
@@ -100,41 +71,71 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
     return sizes
 
 
-# key in the file -> (config field, parser)
-_KEYS: dict[str, tuple[str, callable]] = {
-    "dataset": ("dataset", lambda r: _parse_choice(r, ("synthetic", "mnist"))),
-    "mnist_dir": ("mnist_dir", str),
-    "partition": ("partition", lambda r: _parse_choice(r, ("sharding", "dirichlet"))),
-    "S": ("shards_per_client", lambda r: _parse_int(r, lo=1)),
-    "dirichlet_alpha": ("dirichlet_alpha", lambda r: _parse_float(r, lo=0, lo_open=True)),
-    "K": ("num_clients", lambda r: _parse_int(r, lo=1)),
-    "C": ("fraction", lambda r: _parse_float(r, lo=0, hi=1, lo_open=True)),
-    "t_total": ("t_total", lambda r: _parse_int(r, lo=1)),
-    "E": ("epochs", lambda r: _parse_int(r, lo=1)),
-    "batch_size": ("batch_size", lambda r: _parse_int(r, lo=1)),
-    "base_lr": ("base_lr", lambda r: _parse_float(r, lo=0, lo_open=True)),
-    "lr_decay": ("lr_decay", lambda r: _parse_float(r, lo=0, hi=1, lo_open=True)),
-    "momentum": ("momentum", lambda r: _parse_float(r, lo=0, hi=1, hi_open=True)),
-    "weight_decay": ("weight_decay", lambda r: _parse_float(r, lo=0)),
-    "hidden": ("hidden", _parse_hidden),
-    "algorithm": ("algorithm", lambda r: _parse_choice(r, ("fedavg", "fedprox", "fedpsd"))),
-    "prox_mu": ("prox_mu", lambda r: _parse_float(r, lo=0)),
-    "rhpk": ("rhpk", _parse_bool),
-    "psd": ("psd", _parse_bool),
-    "cll": ("cll", _parse_bool),
-    "prior_epsilon": ("prior_epsilon", lambda r: _parse_float(r, lo=0)),
-    "test_budget": ("test_budget", lambda r: _parse_int(r, lo=1)),
-    "sweep_every": ("sweep_every", lambda r: _parse_int(r, lo=0)),
-    "workers": ("workers", lambda r: _parse_int(r, lo=1)),
-    "seed": ("seed", lambda r: _parse_int(r, lo=0)),
-    "synth_classes": ("synth_classes", lambda r: _parse_int(r, lo=2)),
-    "synth_dim": ("synth_dim", lambda r: _parse_int(r, lo=2)),
-    "synth_per_class": ("synth_per_class", lambda r: _parse_int(r, lo=1)),
-    "synth_test_per_class": ("synth_test_per_class", lambda r: _parse_int(r, lo=1)),
-    "synth_spread": ("synth_spread", lambda r: _parse_float(r, lo=0)),
-}
+def _key(key: str, default, parse):
+    """A config field: its key in the file, its default, and the parser
+    that reads the key's value and checks every constructed config."""
+    return field(default=default, metadata={"key": key, "parse": parse})
 
-_FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    dataset: str = _key("dataset", "synthetic", _choice("synthetic", "mnist"))
+    mnist_dir: str = _key("mnist_dir", "", str)
+    partition: str = _key("partition", "sharding", _choice("sharding", "dirichlet"))
+    shards_per_client: int = _key("S", 2, _at_least(1))
+    dirichlet_alpha: float = _key("dirichlet_alpha", 0.1, _float(lo=0, lo_open=True))
+    num_clients: int = _key("K", 100, _at_least(1))
+    fraction: float = _key("C", 0.1, _float(lo=0, hi=1, lo_open=True))
+    t_total: int = _key("t_total", 200, _at_least(1))
+    epochs: int = _key("E", 5, _at_least(1))
+    batch_size: int = _key("batch_size", 50, _at_least(1))
+    base_lr: float = _key("base_lr", 0.01, _float(lo=0, lo_open=True))
+    lr_decay: float = _key("lr_decay", 0.99, _float(lo=0, hi=1, lo_open=True))
+    momentum: float = _key("momentum", 0.9, _float(lo=0, hi=1, hi_open=True))
+    weight_decay: float = _key("weight_decay", 1e-5, _float(lo=0))
+    hidden: tuple[int, ...] = _key("hidden", (128,), _parse_hidden)
+    algorithm: str = _key("algorithm", "fedavg", _choice("fedavg", "fedprox", "fedpsd"))
+    prox_mu: float = _key("prox_mu", 0.01, _float(lo=0))
+    rhpk: bool = _key("rhpk", True, _parse_bool)
+    psd: bool = _key("psd", True, _parse_bool)
+    cll: bool = _key("cll", True, _parse_bool)
+    prior_epsilon: float = _key("prior_epsilon", 1.0, _float(lo=0))
+    test_budget: int = _key("test_budget", 100, _at_least(1))
+    sweep_every: int = _key("sweep_every", 10, _at_least(0))
+    workers: int = _key("workers", 1, _at_least(1))
+    seed: int = _key("seed", 0, _at_least(0))
+    synth_classes: int = _key("synth_classes", 10, _at_least(2))
+    synth_dim: int = _key("synth_dim", 32, _at_least(2))
+    synth_per_class: int = _key("synth_per_class", 500, _at_least(1))
+    synth_test_per_class: int = _key("synth_test_per_class", 100, _at_least(1))
+    synth_spread: float = _key("synth_spread", 0.45, _float(lo=0))
+
+    def __post_init__(self):
+        # Each value, rendered as the file holds it, must pass its key's
+        # parser and read back as itself, so K = 10.5 or a list hidden fail.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                parsed = f.metadata["parse"](_render(value))
+                if parsed != value:
+                    raise ValueError(f"must be of type {type(parsed).__name__}, got {value!r}")
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for {f.metadata['key']!r}: {exc}") from exc
+
+
+def _render(value) -> str:
+    """A field value as the config file holds it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, float):
+        return repr(float(value))  # a numpy float64 echoes as 0.5, not np.float64(0.5)
+    return str(value)
+
+
+# key in the file -> its ExperimentConfig field
+_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 _SECTION_RE = re.compile(r"^\[[A-Za-z0-9 _.-]+\]$")
 
 
@@ -149,25 +150,23 @@ def parse_config(text: str) -> ExperimentConfig:
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if _SECTION_RE.match(line):
+        if not line or _SECTION_RE.match(line):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field_name, parser = _KEYS[key]
-        if field_name in values:
+        if key in first_line:
             raise ConfigError(
-                f"line {lineno}: duplicate key {key!r} (first set on line {first_line[field_name]})"
+                f"line {lineno}: duplicate key {key!r} (first set on line {first_line[key]})"
             )
+        f = _KEYS[key]
         try:
-            values[field_name] = parser(raw_value)
+            values[f.name] = f.metadata["parse"](raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
-        first_line[field_name] = lineno
+        first_line[key] = lineno
     return ExperimentConfig(**values)
 
 
@@ -181,19 +180,11 @@ def echo_config(cfg: ExperimentConfig) -> str:
     """
     lines = []
     for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, tuple):
-            rendered = ",".join(str(v) for v in value)
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
+        key, rendered = f.metadata["key"], _render(getattr(cfg, f.name))
         if "#" in rendered or rendered != rendered.strip() or len(rendered.splitlines()) > 1:
             raise ConfigError(
-                f"{_FIELD_TO_KEY[f.name]!r}: {rendered!r} would not read back; values "
+                f"{key!r}: {rendered!r} would not read back; values "
                 "cannot hold '#' or a line break, or start or end with whitespace"
             )
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {rendered}")
+        lines.append(f"{key} = {rendered}")
     return "\n".join(lines) + "\n"

@@ -68,7 +68,7 @@ class ServerState:
 class ClientState:
     client_id: int
     partition: ClientPartition
-    prior: np.ndarray
+    prior: np.ndarray | None  # None unless fedpsd with cll, its one reader
     history: np.ndarray | None = None
     # Local-test accuracy of the model the client trained when it was
     # last sampled; None until then.
@@ -417,9 +417,11 @@ def build_federation(
     clients: dict[int, ClientState] = {}
     for part in partitions:
         part.test_indices = client_test_split(test, part, train, cfg.seed, cfg.test_budget)
-        prior = class_prior(
-            train.labels[part.train_indices], train.num_classes, cfg.prior_epsilon
-        )
+        prior = None
+        if cfg.algorithm == "fedpsd" and cfg.cll:
+            prior = class_prior(
+                train.labels[part.train_indices], train.num_classes, cfg.prior_epsilon
+            )
         clients[part.client_id] = ClientState(part.client_id, part, prior)
     layer_sizes = [train.dim, *cfg.hidden, train.num_classes]
     server = ServerState(init_model(layer_sizes, cfg.seed), round=0)

@@ -201,7 +201,7 @@ def local_train_fedpsd(
     global_params: ModelParams,
     features: np.ndarray,
     labels: np.ndarray,
-    prior: np.ndarray,
+    prior: np.ndarray | None,
     history: np.ndarray | None,
     client_id: int,
     round_t: int,
@@ -212,9 +212,10 @@ def local_train_fedpsd(
 
     fedavg minimises cross-entropy and fedprox adds the proximal pull
     toward ``global_params``. fedpsd calibrates the cross-entropy with
-    ``prior`` (cll), distills epoch 1 toward the fused history teacher
-    (rhpk) when the client has one, and distills later epochs toward
-    the fused outputs cached during the previous epoch (psd).
+    ``prior`` (cll, its one reader), distills epoch 1 toward the fused
+    history teacher (rhpk) when the client has one, and distills later
+    epochs toward the fused outputs cached during the previous epoch
+    (psd).
 
     Under rhpk, the only reader, the new history is the trained model's
     (n_k, L) softmax over the full local set: the plain softmax of

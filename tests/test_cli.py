@@ -117,6 +117,12 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_bad_seed_override_exits_one_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(_write_config(tmp_path)), "--out", str(out), "--seed", "-1"]) == 1
+        assert "invalid value for 'seed': must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_idx_file_exits_one(self, tmp_path, capsys):
         for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                      "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):

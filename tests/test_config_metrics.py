@@ -125,6 +125,93 @@ class TestParseConfig:
         cfg = ExperimentConfig(mnist_dir="my data/mnist")
         assert parse_config(echo_config(cfg)) == cfg
 
+    def test_echo_of_the_defaults_is_pinned(self):
+        # The config.txt bytes: a reordered field or a renamed key fails here.
+        assert echo_config(ExperimentConfig()) == DEFAULT_ECHO
+
+    def test_echo_writes_numpy_numbers_as_the_file_holds_them(self):
+        cfg = ExperimentConfig(dirichlet_alpha=np.float64(0.5), num_clients=np.int64(7))
+        assert "dirichlet_alpha = 0.5\nK = 7\n" in echo_config(cfg)
+        assert parse_config(echo_config(cfg)) == cfg
+
+    def test_readme_config_table_matches_the_declared_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        documented = {}
+        for row in readme.splitlines():
+            if row.startswith("| `"):
+                key_cell, default_cell = row.split("|")[1:3]
+                default = default_cell.strip().strip("`")
+                for key in re.findall(r"`([^`]+)`", key_cell):
+                    documented[key] = "" if default == "(empty)" else default
+        declared = {f.metadata["key"]: f for f in dataclasses.fields(ExperimentConfig)}
+        assert list(documented) == list(declared)
+        for key, default in documented.items():
+            assert declared[key].metadata["parse"](default) == declared[key].default, key
+
+
+DEFAULT_ECHO = """\
+dataset = synthetic
+mnist_dir = 
+partition = sharding
+S = 2
+dirichlet_alpha = 0.1
+K = 100
+C = 0.1
+t_total = 200
+E = 5
+batch_size = 50
+base_lr = 0.01
+lr_decay = 0.99
+momentum = 0.9
+weight_decay = 1e-05
+hidden = 128
+algorithm = fedavg
+prox_mu = 0.01
+rhpk = true
+psd = true
+cll = true
+prior_epsilon = 1.0
+test_budget = 100
+sweep_every = 10
+workers = 1
+seed = 0
+synth_classes = 10
+synth_dim = 32
+synth_per_class = 500
+synth_test_per_class = 100
+synth_spread = 0.45
+"""
+
+
+def _replace_defaults(**changes):
+    return dataclasses.replace(ExperimentConfig(), **changes)
+
+
+class TestConstructionCheck:
+    """A config built in code is held to the parser of each key."""
+
+    @pytest.mark.parametrize("build", [ExperimentConfig, _replace_defaults], ids=["init", "replace"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("epochs", 0, "'E': must be >= 1, got 0"),
+            ("t_total", 0, "'t_total': must be >= 1"),
+            ("batch_size", 0, "'batch_size': must be >= 1"),
+            ("momentum", 1.5, "'momentum': must be < 1"),
+            ("lr_decay", 2.0, "'lr_decay': must be <= 1"),
+            ("sweep_every", -1, "'sweep_every': must be >= 0"),
+            ("hidden", (), "'hidden': expected comma-separated sizes"),
+            ("hidden", [64, 32], "'hidden': must be of type tuple"),
+            ("num_clients", 10.5, "'K': invalid literal"),
+            ("num_clients", "5", "'K': must be of type int"),
+            ("dataset", "cifar", "'dataset': expected one of synthetic, mnist"),
+            ("base_lr", float("nan"), "'base_lr': must be finite"),
+        ],
+    )
+    def test_out_of_range_or_mistyped_value_is_refused(self, build, field, value, message):
+        with pytest.raises(ConfigError, match=f"^invalid value for {re.escape(message)}"):
+            build(**{field: value})
+
 
 def _series():
     rounds = [

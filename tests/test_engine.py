@@ -24,6 +24,7 @@ from fedpsd.engine import (
     run_round,
     sample_clients,
 )
+from fedpsd.metrics import format_round
 from fedpsd.nn import ContractViolation, forward, init_model, top1_accuracy
 from fedpsd.psd import local_train_fedpsd
 
@@ -553,6 +554,24 @@ class TestRunExperiment:
     def test_mnist_requires_directory(self):
         with pytest.raises(ContractViolation, match="mnist_dir"):
             run_experiment(_small_cfg(dataset="mnist"))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(algorithm="fedavg"), dict(algorithm="fedprox"), dict(algorithm="fedpsd", cll=False)],
+        ids=["fedavg", "fedprox", "fedpsd-no-cll"],
+    )
+    def test_prior_epsilon_acts_only_under_cll(self, overrides):
+        # Sharded clients miss classes, so an unsmoothed prior has zeros;
+        # only the calibrated loss reads the prior.
+        def metrics_csv(epsilon):
+            series = run_experiment(_small_cfg(prior_epsilon=epsilon, **overrides))
+            return [format_round(record) for record in series.rounds]
+
+        assert metrics_csv(0.0) == metrics_csv(1.0)
+
+    def test_unsmoothed_prior_with_a_zero_entry_fails_under_cll(self):
+        with pytest.raises(ContractViolation, match="prior has a zero entry"):
+            run_experiment(_small_cfg(algorithm="fedpsd", prior_epsilon=0.0))
 
 
 def _write_idx_dir(directory, train, test):
