@@ -6,7 +6,8 @@ partitioning strategies (pathological sharding and per-client
 Dirichlet proportions), matched per-client test splits, and smoothed
 class priors. IDX files are mapped read-only and their pixels stay
 the file's bytes, never copied; a consumer reads float64 rows,
-pixel / 255, through ``LabeledDataset.rows``.
+pixel / 255, through ``LabeledDataset.rows``, and a client's trainer
+through a ``RowView``, one batch at a time.
 """
 from __future__ import annotations
 
@@ -98,6 +99,20 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
+
+
+@dataclass
+class RowView:
+    """Rows ``indices`` of ``dataset``, converted only when read:
+    ``view[i]`` is ``dataset.rows(indices[i])``. A trainer that reads
+    one batch at a time so holds one batch of float64 rows, not the
+    whole local set."""
+
+    dataset: LabeledDataset
+    indices: np.ndarray
+
+    def __getitem__(self, i) -> np.ndarray:
+        return self.dataset.rows(self.indices[i])
 
 
 @dataclass
@@ -316,10 +331,7 @@ def partition_dirichlet(
             f"{num_clients} clients cannot each get a sample from {m}; use a larger dataset"
         )
     rng = np.random.default_rng([seed, _DIRICHLET_STREAM])
-    pools = []
-    for c in range(l):
-        pool = np.flatnonzero(dataset.labels == c)
-        pools.append(rng.permutation(pool))
+    pools = [rng.permutation(pool) for pool in class_pools(dataset)]
     cursor = np.zeros(l, dtype=np.int64)  # consumed prefix of each pool
 
     partitions = []
@@ -346,8 +358,13 @@ def partition_dirichlet(
     return partitions
 
 
+def class_pools(dataset: LabeledDataset) -> list[np.ndarray]:
+    """The ascending indices of each class's samples, one array per class."""
+    return [np.flatnonzero(dataset.labels == c) for c in range(dataset.num_classes)]
+
+
 def client_test_split(
-    global_test: LabeledDataset,
+    test_pools: list[np.ndarray],
     partition: ClientPartition,
     train_set: LabeledDataset,
     seed: int,
@@ -357,16 +374,16 @@ def client_test_split(
 
     ``budget`` samples are apportioned over the classes present in the
     client's train split (each present class gets at least one) and
-    drawn from the global test pool. Different clients may draw the
-    same test samples. A class missing from the global test set is
-    skipped with a warning.
+    drawn from ``test_pools``, the global test set's ``class_pools``,
+    built once for all clients. Different clients may draw the same
+    test samples. A class missing from the global test set is skipped
+    with a warning.
     """
     if budget < 1:
         raise ContractViolation(f"budget must be >= 1, got {budget}")
-    if global_test.num_classes != train_set.num_classes:
+    if len(test_pools) != train_set.num_classes:
         raise ContractViolation(
-            f"test set has {global_test.num_classes} classes, train set "
-            f"{train_set.num_classes}"
+            f"test set has {len(test_pools)} classes, train set {train_set.num_classes}"
         )
     train_labels = train_set.labels[partition.train_indices]
     counts = np.bincount(train_labels, minlength=train_set.num_classes)
@@ -383,7 +400,7 @@ def client_test_split(
     rng = np.random.default_rng([seed, _TEST_SPLIT_STREAM, partition.client_id])
     chosen = []
     for cls, n in zip(present, alloc):
-        pool = np.flatnonzero(global_test.labels == cls)
+        pool = test_pools[cls]
         if pool.size == 0:
             warnings.warn(
                 f"class {cls} present in client {partition.client_id} train data "

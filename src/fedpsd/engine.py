@@ -29,6 +29,8 @@ from .config import SAMPLING_STREAM, ConfigError, ExperimentConfig
 from .data import (
     ClientPartition,
     LabeledDataset,
+    RowView,
+    class_pools,
     class_prior,
     client_test_split,
     load_idx_files,
@@ -46,11 +48,15 @@ from .metrics import (
     emit_metrics,
     format_ablation_row,
 )
-from .nn import ContractViolation, ModelParams, forward, init_model, top1_accuracy
+from .nn import (
+    ContractViolation,
+    ModelParams,
+    forward,
+    init_model,
+    row_blocks,
+    top1_accuracy,
+)
 from .psd import local_train_fedpsd
-
-# Most rows in one block of the server eval.
-EVAL_BLOCK_ROWS = 1024
 
 # What training one client yields: its parameters, its new history (None
 # unless rhpk reads it), its per-batch losses and its local-test accuracy.
@@ -147,9 +153,13 @@ def _train_one(
     lr: float,
     cfg: ExperimentConfig,
 ) -> tuple[ModelParams, np.ndarray | None, list[float]]:
+    """Train ``client`` from ``global_params``. The trainer reads the
+    client's rows through a ``RowView``, so only the batch or history
+    block in hand is float64; the results are those of training on
+    ``train.rows(idx)`` to the bit."""
     idx = client.partition.train_indices
     return local_train_fedpsd(
-        global_params, train.rows(idx), train.labels[idx], client.prior,
+        global_params, RowView(train, idx), train.labels[idx], client.prior,
         history, client.client_id, round_t, lr, cfg,
     )
 
@@ -336,16 +346,11 @@ def run_round(
 
     server.global_params = aggregate(updates, client_ids=sampled)
     server.round = t + 1
-    # The pooled test set is scored in ceil(n / EVAL_BLOCK_ROWS) blocks of
-    # near-equal size, so its float64 rows never exist all at once, and
-    # the logits are those of one whole-set forward to the bit. A block
-    # is never short: OpenBLAS computes a product of about 1,200 outputs
-    # or fewer with another kernel, whose last bits differ. hits / n is
-    # the mean of the hit array.
+    # The pooled test set is scored in ``row_blocks``, so its float64 rows
+    # never exist all at once, and the logits are those of one whole-set
+    # forward to the bit. hits / n is the mean of the hit array.
     n, hits = test.num_samples, 0
-    blocks = -(-n // EVAL_BLOCK_ROWS)
-    for b in range(blocks):
-        block = slice(n * b // blocks, n * (b + 1) // blocks)
+    for block in row_blocks(n, server.global_params):
         logits = forward(server.global_params, test.rows(block))
         hits += int(np.count_nonzero(np.argmax(logits, axis=1) == test.labels[block]))
     return RoundReport(
@@ -398,8 +403,8 @@ def _load_dataset_pair(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDa
         # Each IDX file infers its class count from its own top label; the
         # train set's count is the task's, so a test set missing the top
         # class still lines up (and a label outside it still raises).
-        # Both sets stay the mapped file's bytes: a client converts its own
-        # rows, and the server eval converts one block at a time.
+        # Both sets stay the mapped file's bytes: a client converts one
+        # batch of its rows at a time, and the server eval one block.
         return train, LabeledDataset(test.values, test.labels, train.num_classes, pixels=True)
     raise ContractViolation(f"unknown dataset {cfg.dataset!r}")
 
@@ -414,9 +419,10 @@ def build_federation(
         partitions = partition_sharding(train, cfg.shards_per_client, cfg.num_clients, cfg.seed)
     else:
         partitions = partition_dirichlet(train, cfg.dirichlet_alpha, cfg.num_clients, cfg.seed)
+    test_pools = class_pools(test)
     clients: dict[int, ClientState] = {}
     for part in partitions:
-        part.test_indices = client_test_split(test, part, train, cfg.seed, cfg.test_budget)
+        part.test_indices = client_test_split(test_pools, part, train, cfg.seed, cfg.test_budget)
         prior = None
         if cfg.algorithm == "fedpsd" and cfg.cll:
             prior = class_prior(

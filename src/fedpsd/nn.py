@@ -156,6 +156,31 @@ def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
     return logits
 
 
+# Most rows in one block of a forward-only pass over a set: the server
+# eval and the rhpk history.
+EVAL_BLOCK_ROWS = 256
+
+# OpenBLAS (numpy 2.4's bundled 0.3.31) computes a matrix product of at
+# most this many outputs with another kernel, whose last bits differ.
+_SMALL_PRODUCT_OUTPUTS = 1200
+
+
+def row_blocks(n: int, model: ModelParams) -> list[slice]:
+    """Near-equal slices covering rows [0, n), at most
+    ceil(n / EVAL_BLOCK_ROWS) of them, whose ``forward`` logits are
+    those of one whole-set forward to the bit.
+
+    No block falls below the kernel switch: each has more than
+    ``_SMALL_PRODUCT_OUTPUTS`` outputs at the model's narrowest layer,
+    and two rows (one row is a matrix-vector product). Where that
+    floor exceeds ``EVAL_BLOCK_ROWS`` the blocks grow to it; a set
+    below it is one block.
+    """
+    floor = max(2, _SMALL_PRODUCT_OUTPUTS // min(model.layer_sizes()[1:]) + 1)
+    blocks = max(1, min(-(-n // EVAL_BLOCK_ROWS), n // floor))
+    return [slice(n * b // blocks, n * (b + 1) // blocks) for b in range(blocks)]
+
+
 def backprop(model: ModelParams, batch: np.ndarray, dlogits: np.ndarray) -> ModelParams:
     """Exact parameter gradients given d(loss)/d(logits).
 

@@ -30,6 +30,7 @@ from .nn import (
     init_optimizer,
     log_softmax,
     one_hot,
+    row_blocks,
     sgd_step,
     softmax,
     softmax_ce,
@@ -217,11 +218,16 @@ def local_train_fedpsd(
     epochs toward the fused outputs cached during the previous epoch
     (psd).
 
+    ``features`` is the (n_k, d) float64 local set, or anything whose
+    ``[idx]`` gives those rows, such as a ``data.RowView``; it is read
+    one batch, or one ``row_blocks`` block, at a time.
+
     Under rhpk, the only reader, the new history is the trained model's
-    (n_k, L) softmax over the full local set: the plain softmax of
-    uncalibrated logits, the code's reading of the paper's "calibrated
-    fusion labels". Returns (params, history, per-batch losses); the
-    history is None unless fedpsd runs with rhpk.
+    (n_k, L) softmax over the full local set, computed in blocks that
+    give one whole-set forward's bits: the plain softmax of uncalibrated
+    logits, the code's reading of the paper's "calibrated fusion
+    labels". Returns (params, history, per-batch losses); the history
+    is None unless fedpsd runs with rhpk.
     """
     n = labels.shape[0]
     num_classes = global_params.num_classes
@@ -283,4 +289,7 @@ def local_train_fedpsd(
 
     if not rhpk:
         return params, None, losses
-    return params, softmax(forward(params, features)), losses
+    history = np.empty((n, num_classes))
+    for block in row_blocks(n, params):
+        history[block] = softmax(forward(params, features[block]))
+    return params, history, losses

@@ -10,6 +10,7 @@ from fedpsd.data import (
     IdxParseError,
     LabeledDataset,
     PartitionError,
+    class_pools,
     class_prior,
     client_test_split,
     load_idx,
@@ -313,7 +314,7 @@ class TestClientTestSplit:
         train = synth_generate(5, 4, 20, seed=0, spread=0.2)
         test = synth_generate(5, 4, 10, seed=0, spread=0.2, sample_stream=1)
         part = ClientPartition(0, np.flatnonzero(train.labels == 3))
-        idx = client_test_split(test, part, train, seed=0, budget=10)
+        idx = client_test_split(class_pools(test), part, train, seed=0, budget=10)
         assert set(test.labels[idx]) == {3}
 
     def test_fifty_fifty_budget_20(self):
@@ -321,7 +322,7 @@ class TestClientTestSplit:
         train = LabeledDataset(feats, np.repeat([0, 1], 20), num_classes=2)
         test = LabeledDataset(np.zeros((60, 3)), np.repeat([0, 1], 30), num_classes=2)
         part = ClientPartition(1, np.arange(40))
-        idx = client_test_split(test, part, train, seed=5, budget=20)
+        idx = client_test_split(class_pools(test), part, train, seed=5, budget=20)
         counts = np.bincount(test.labels[idx], minlength=2)
         assert list(counts) == [10, 10]
 
@@ -329,15 +330,15 @@ class TestClientTestSplit:
         train = synth_generate(5, 4, 20, seed=0, spread=0.2)
         test = synth_generate(5, 4, 10, seed=0, spread=0.2, sample_stream=1)
         part = ClientPartition(2, np.arange(30))
-        a = client_test_split(test, part, train, seed=0, budget=15)
-        b = client_test_split(test, part, train, seed=0, budget=15)
+        a = client_test_split(class_pools(test), part, train, seed=0, budget=15)
+        b = client_test_split(class_pools(test), part, train, seed=0, budget=15)
         assert np.array_equal(a, b)
 
     def test_each_present_class_represented(self):
         train = synth_generate(5, 4, 20, seed=0, spread=0.2)
         test = synth_generate(5, 4, 10, seed=0, spread=0.2, sample_stream=1)
         part = ClientPartition(3, np.arange(train.num_samples))
-        idx = client_test_split(test, part, train, seed=0, budget=7)
+        idx = client_test_split(class_pools(test), part, train, seed=0, budget=7)
         assert set(test.labels[idx]) == set(range(5))
 
     def test_missing_test_class_warns(self):
@@ -345,7 +346,7 @@ class TestClientTestSplit:
         test = LabeledDataset(np.zeros((5, 3)), np.zeros(5, dtype=int), num_classes=2)
         part = ClientPartition(0, np.arange(10))
         with pytest.warns(UserWarning, match="class 1"):
-            idx = client_test_split(test, part, train, seed=0, budget=8)
+            idx = client_test_split(class_pools(test), part, train, seed=0, budget=8)
         assert set(test.labels[idx]) == {0}
 
 

@@ -25,7 +25,14 @@ from fedpsd.engine import (
     sample_clients,
 )
 from fedpsd.metrics import format_round
-from fedpsd.nn import ContractViolation, forward, init_model, top1_accuracy
+from fedpsd.nn import (
+    EVAL_BLOCK_ROWS,
+    ContractViolation,
+    forward,
+    init_model,
+    softmax,
+    top1_accuracy,
+)
 from fedpsd.psd import local_train_fedpsd
 
 
@@ -607,32 +614,78 @@ class TestIdxClassCount:
             run_experiment(cfg)
 
     def test_hot_paths_read_pixel_rows_without_materialising(self, tmp_path, monkeypatch):
-        _write_idx_dir(tmp_path, _idx_split(4, 20, seed=0), _idx_split(4, 10, seed=1))
-        cfg = ExperimentConfig(mnist_dir=str(tmp_path), **{**self.CFG, "t_total": 2, "sweep_every": 1})
+        # Two 300-row clients and 600 test rows over 10 classes, so a
+        # client's whole local set or the whole test set is more rows than
+        # one batch or one eval block (three of 200 test rows, two of 150
+        # rows for a client's rhpk history).
+        _write_idx_dir(tmp_path, _idx_split(10, 60, seed=0), _idx_split(10, 60, seed=1))
+        cfg = ExperimentConfig(mnist_dir=str(tmp_path), **{
+            **self.CFG, "algorithm": "fedpsd", "hidden": (16,), "t_total": 2, "sweep_every": 1,
+        })
         train, test = engine._load_dataset_pair(cfg)
-        # Both sets stay bytes: a client converts its own rows, the server
-        # eval one block at a time (here three of the 40 test rows).
         assert train.pixels and test.pixels
-        monkeypatch.setattr(engine, "EVAL_BLOCK_ROWS", 16)
-        rows = LabeledDataset.rows
+        most = max(cfg.batch_size, EVAL_BLOCK_ROWS)
+        rows, converted = LabeledDataset.rows, []
 
-        def refuse_whole_set(ds, idx=slice(None)):
+        def spy(ds, idx=slice(None)):
             out = rows(ds, idx)
-            if ds.pixels and out.shape[0] == ds.num_samples:
-                raise AssertionError("a whole pixel-backed set was converted to float64")
+            if ds.pixels and out.shape[0] > most:
+                raise AssertionError(f"{out.shape[0]} pixel rows were converted at once")
+            converted.append((ds.num_samples, out.shape[0]))
             return out
 
         # .features reads through rows(), so this refuses it too.
-        monkeypatch.setattr(LabeledDataset, "rows", refuse_whole_set)
+        monkeypatch.setattr(LabeledDataset, "rows", spy)
         for workers in (1, 2):  # the clients train here, then in forked workers
             series = run_experiment(dataclasses.replace(cfg, workers=workers))
             assert [r.round for r in series.rounds] == [1, 2]
             assert [s.round for s in series.sweeps] == [1, 2]
+        # What the run process converted at workers=1: batches of 10 train
+        # rows, history blocks of 150, the 10-row client test splits, and
+        # eval blocks of 200 (the workers' conversions die with them).
+        assert sorted(set(converted)) == [(600, 10), (600, 150), (600, 200)]
+
+
+class TestTrainOne:
+    @pytest.mark.parametrize("algorithm", ["fedpsd", "fedprox"])
+    def test_row_view_trains_as_the_converted_rows(self, algorithm):
+        # 784-d pixels, a 300-row client and a 784-32-10 model: several
+        # batches, and a history pass in two blocks.
+        rng = np.random.default_rng(8)
+        labels = np.repeat(np.arange(10), 60)
+        train = LabeledDataset(
+            rng.integers(0, 256, (600, 784), dtype=np.uint8), rng.permutation(labels), 10,
+            pixels=True,
+        )
+        test = LabeledDataset(
+            rng.integers(0, 256, (100, 784), dtype=np.uint8), labels[::6], 10, pixels=True
+        )
+        cfg = _small_cfg(
+            algorithm=algorithm, hidden=(32,), num_clients=2, shards_per_client=2,
+            fraction=1.0, t_total=4, epochs=2, batch_size=50,
+        )
+        server, clients = build_federation(cfg, train, test)
+        client = clients[1]
+        idx = client.partition.train_indices
+        history = np.full((idx.size, 10), 0.1) if algorithm == "fedpsd" else None
+        got = engine._train_one(server.global_params, 2, client, history, train, 0.05, cfg)
+        want = local_train_fedpsd(
+            server.global_params, train.rows(idx), train.labels[idx], client.prior,
+            history, client.client_id, 2, 0.05, cfg,
+        )
+        assert got[0].flat.tobytes() == want[0].flat.tobytes()
+        assert got[2] == want[2] and len(got[2]) == 12
+        if algorithm == "fedpsd":
+            # The blocked history is one whole-set softmax to the bit.
+            whole = softmax(forward(got[0], train.rows(idx)))
+            assert got[1].tobytes() == want[1].tobytes() == whole.tobytes()
+        else:
+            assert got[1] is None and want[1] is None
 
 
 class TestServerEval:
     @pytest.mark.parametrize(
-        "n", [2 * engine.EVAL_BLOCK_ROWS + 37, engine.EVAL_BLOCK_ROWS + 1, 37],
+        "n", [2 * EVAL_BLOCK_ROWS + 37, EVAL_BLOCK_ROWS + 1, 37],
         ids=["two_blocks_and_37", "one_block_and_1", "under_one_block"],
     )
     def test_blocked_eval_is_one_whole_set_forward(self, n, monkeypatch):
@@ -662,5 +715,5 @@ class TestServerEval:
         assert report.server_accuracy == top1_accuracy(whole, test.labels)
         assert type(report.server_accuracy) is float
         sizes = [b.shape[0] for b in blocks]
-        assert len(sizes) == -(-n // engine.EVAL_BLOCK_ROWS)
-        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= engine.EVAL_BLOCK_ROWS
+        assert len(sizes) == -(-n // EVAL_BLOCK_ROWS)
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= EVAL_BLOCK_ROWS

@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fedpsd import engine
 from fedpsd.config import ExperimentConfig
 from fedpsd.data import LabeledDataset, save_idx, synth_generate
 from fedpsd.engine import run_experiment
@@ -75,16 +76,37 @@ def _write_idx_corpus(directory) -> None:
         (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(labels)
 
 
-def test_idx_output_bytes_match_golden(tmp_path):
-    _write_idx_corpus(tmp_path)
-    cfg = ExperimentConfig(**{
-        **_BASE, "dataset": "mnist", "mnist_dir": str(tmp_path), "algorithm": "fedpsd",
+def _idx_config(directory) -> ExperimentConfig:
+    _write_idx_corpus(directory)
+    return ExperimentConfig(**{
+        **_BASE, "dataset": "mnist", "mnist_dir": str(directory), "algorithm": "fedpsd",
         "num_clients": 5, "fraction": 0.6, "t_total": 3, "test_budget": 10, "sweep_every": 1,
     })
-    series = run_experiment(cfg)
+
+
+def test_idx_output_bytes_match_golden(tmp_path):
+    series = run_experiment(_idx_config(tmp_path))
     emit_metrics(series, tmp_path / "metrics.csv")
     emit_sweeps(series, tmp_path / "sweeps.csv")
     digest = hashlib.sha256(
         (tmp_path / "metrics.csv").read_bytes() + (tmp_path / "sweeps.csv").read_bytes()
     ).hexdigest()
     assert digest == IDX_GOLDEN, f"idx: sha256 {digest} on {_build()}"
+
+
+# The IDX run's raw bits, which the six-decimal CSV rounds away: the
+# final global parameters, then each client's history (b"none" for a
+# client never sampled) in client order.
+IDX_RAW_GOLDEN = "b9028b8bf12a73c795e72ea986343d3c6bc254a4509a83459b5c170a2ab2b80b"
+
+
+def test_idx_raw_bits_match_golden(tmp_path):
+    cfg = _idx_config(tmp_path)
+    train, test = engine._load_dataset_pair(cfg)
+    server, clients = engine.build_federation(cfg, train, test)
+    for _ in range(cfg.t_total):
+        engine.run_round(server, clients, train, test, cfg)
+    digest = hashlib.sha256(server.global_params.flat.tobytes())
+    for _, client in sorted(clients.items()):
+        digest.update(b"none" if client.history is None else client.history.tobytes())
+    assert digest.hexdigest() == IDX_RAW_GOLDEN, f"idx raw: sha256 {digest.hexdigest()} on {_build()}"

@@ -10,7 +10,9 @@ import pickle
 import numpy as np
 import pytest
 
+from fedpsd import nn
 from fedpsd.nn import (
+    EVAL_BLOCK_ROWS,
     ContractViolation,
     ModelParams,
     backprop,
@@ -19,6 +21,7 @@ from fedpsd.nn import (
     init_model,
     init_optimizer,
     one_hot,
+    row_blocks,
     sgd_step,
     softmax,
     softmax_ce,
@@ -76,6 +79,40 @@ class TestForward:
         model = init_model([5, 8, 3], seed=1)
         x = np.random.default_rng(2).standard_normal((6, 5))
         assert np.array_equal(forward(model, x), forward(model, x))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "sizes", [[784, 128, 10], [32, 64, 32, 10], [784, 128, 2], [32, 64, 32, 4]],
+        ids=lambda sizes: "-".join(map(str, sizes)),
+    )
+    def test_blocked_logits_are_one_whole_set_forward(self, sizes):
+        # OpenBLAS computes a product of at most 1,200 outputs with another
+        # kernel: a 2-class block of 600 rows or a 10-class block of 120
+        # would move the logits' last bits.
+        model = init_model(sizes, seed=3)
+        x = np.random.default_rng(4).integers(0, 256, (10_000, sizes[0]), dtype=np.uint8) / 255.0
+        floor = 1200 // min(sizes[1:]) + 1
+        for n in (100, 300, 1100, 3000, 10_000):
+            whole = forward(model, x[:n])
+            blocks = row_blocks(n, model)
+            logits = np.concatenate([forward(model, x[block]) for block in blocks])
+            assert logits.tobytes() == whole.tobytes(), (sizes, n)
+            lengths = [block.stop - block.start for block in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert max(lengths) - min(lengths) <= 1
+            assert len(blocks) <= -(-n // EVAL_BLOCK_ROWS)
+            assert len(blocks) == 1 or min(lengths) >= floor, (sizes, n, lengths)
+            # No larger than the cap, or than the floor needs.
+            assert max(lengths) <= max(EVAL_BLOCK_ROWS, 2 * floor), (sizes, n, lengths)
+
+    def test_a_block_is_never_one_row(self, monkeypatch):
+        # One row is a matrix-vector product, whose last bits differ too.
+        monkeypatch.setattr(nn, "EVAL_BLOCK_ROWS", 1)
+        model = init_model([2, 1201], seed=0)
+        assert [(b.start, b.stop) for b in row_blocks(3, model)] == [(0, 3)]
+        assert [(b.start, b.stop) for b in row_blocks(4, model)] == [(0, 2), (2, 4)]
 
 
 class TestModelParams:
