@@ -200,16 +200,20 @@ def save_idx(dataset: LabeledDataset, rows: int = 0, cols: int = 0) -> tuple[byt
     """Serialize a dataset back to an IDX pair.
 
     Features must lie in [0, 1]; they are quantized to bytes, so the
-    round-trip is exact only for data already on the 1/255 grid. The
-    image shape defaults to a single row of the full feature width.
+    round-trip is exact only for data already on the 1/255 grid. Labels
+    are bytes too, so each must be below 256. The image shape defaults
+    to a single row of the full feature width.
     """
     if rows == 0 and cols == 0:
         rows, cols = 1, dataset.dim
     if rows * cols != dataset.dim:
         raise ContractViolation(f"{rows}x{cols} does not match feature dim {dataset.dim}")
     f = dataset.features
-    if f.min() < 0.0 or f.max() > 1.0:
+    # "Not all in range", so that NaN, which fails every comparison, fails.
+    if not ((f >= 0.0) & (f <= 1.0)).all():
         raise ContractViolation("features must lie in [0, 1] for byte serialization")
+    if dataset.labels.max() > 255:
+        raise ContractViolation("labels must be below 256 for byte serialization")
     pixels = np.round(f * 255.0).astype(np.uint8)
     images = struct.pack(">IIII", IMAGES_MAGIC, dataset.num_samples, rows, cols) + pixels.tobytes()
     labels = struct.pack(">II", LABELS_MAGIC, dataset.num_samples) + \
@@ -250,13 +254,15 @@ def synth_generate(
     Class means depend only on (seed, num_classes, dim), so separate
     calls with different ``sample_stream`` values draw fresh noise
     around the same means; that is how matched train/test pairs are
-    built.
+    built. The noise's standard deviation ``spread`` lies in [0, inf).
     """
     if num_classes < 2 or dim < 2 or per_class < 1:
         raise ContractViolation(
             f"need num_classes >= 2, dim >= 2, per_class >= 1; "
             f"got ({num_classes}, {dim}, {per_class})"
         )
+    if not 0.0 <= spread < np.inf:
+        raise ContractViolation(f"spread must lie in [0, inf), got {spread}")
     mean_rng = np.random.default_rng([seed, _MEANS_STREAM])
     means = mean_rng.standard_normal((num_classes, dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -322,8 +328,8 @@ def partition_dirichlet(
     budget: at least M // num_clients samples remain for each client.
     Up to M mod num_clients tail samples stay unassigned.
     """
-    if alpha <= 0 or num_clients < 1:
-        raise PartitionError(f"need alpha > 0 and num_clients >= 1, got ({alpha}, {num_clients})")
+    if not 0.0 < alpha < np.inf or num_clients < 1:
+        raise PartitionError(f"need 0 < alpha < inf, num_clients > 0; got ({alpha}, {num_clients})")
     m, l = dataset.num_samples, dataset.num_classes
     budget = m // num_clients
     if budget < 1:
@@ -419,14 +425,14 @@ def client_test_split(
 def class_prior(labels: np.ndarray, num_classes: int, epsilon: float = 1.0) -> np.ndarray:
     """Additively smoothed label distribution: (count_y + eps) / (n + L*eps).
 
-    Labels must lie in [0, num_classes); the result has length num_classes.
+    Labels lie in [0, num_classes), epsilon in [0, inf); the result has length num_classes.
     """
     labels = np.asarray(labels)
     if labels.size < 1:
         raise ContractViolation("need at least one label for a class prior")
     _check_label_range(labels, num_classes)
-    if epsilon < 0:
-        raise ContractViolation(f"epsilon must be >= 0, got {epsilon}")
+    if not 0.0 <= epsilon < np.inf:
+        raise ContractViolation(f"epsilon must lie in [0, inf), got {epsilon}")
     counts = np.bincount(labels, minlength=num_classes).astype(np.float64)
     probs = (counts + epsilon) / (labels.size + num_classes * epsilon)
     if probs.min() <= 0.0:

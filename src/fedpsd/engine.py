@@ -6,14 +6,13 @@ participant's local-test accuracy before aggregation, then replaces the
 global model with the sample-size-weighted mean of the returned
 parameters and evaluates it on the pooled test set. Per-client RNG
 streams are keyed by (seed, round, client_id) and updates are summed in
-sampled order, so results never depend on where a client trained. With
-``workers`` > 1, ``run_experiment`` trains each round's clients in
-min(workers, ceil(C*K), usable cpus) worker processes (``WorkerPool``,
-POSIX ``fork`` only), forked when the first round trains and reaped when
-the run ends; each returns the same ``ModelParams``, history, losses and
-accuracy that ``run_round`` computes on the calling thread when the
-server has no workers. ``run_ablation`` runs the four FedPSD component
-rows of one config.
+sampled order, so results never depend on where a client trained. The
+clients train on the server's ``WorkerPool`` of min(workers, ceil(C*K),
+usable cpus) workers: with one, in the calling process; with more, in
+forked worker processes (POSIX ``fork`` only), forked when the first
+round trains and reaped when the run ends. Either way each client
+yields the same ``ModelParams``, history, losses and accuracy.
+``run_ablation`` runs the four FedPSD component rows of one config.
 """
 from __future__ import annotations
 
@@ -67,7 +66,7 @@ ClientResult = tuple[ModelParams, np.ndarray | None, list[float], float]
 class ServerState:
     global_params: ModelParams
     round: int
-    workers: WorkerPool | None = field(default=None, repr=False, compare=False)
+    workers: WorkerPool = field(repr=False, compare=False)
 
 
 @dataclass
@@ -185,17 +184,20 @@ def worker_count(cfg: ExperimentConfig) -> int:
 
 
 class WorkerPool:
-    """Worker processes that train a round's clients (POSIX ``fork`` only).
+    """The one place a round's clients train, each by ``_train``: its
+    local update, then its local-test accuracy.
 
-    The workers are forked on the first ``train`` call, from the process
-    that already holds the train and test sets and every client's
-    partition and prior, so none of that is sent. Each round a worker
-    receives the global ``ModelParams``, the round, the lr and the id
-    and history array (or None) of every size-th sampled client (all
-    clients of a run have the same n_k, so dealing in turn balances the
-    work); it replies with each one's ``ClientResult``. Both ends of
-    each pipe are this module's, so the pickles read are only ones it
-    wrote. ``close`` reaps the workers.
+    At ``size`` 1 they train in the calling process, with no fork, pipe
+    or pickle. Above it, ``size`` worker processes (POSIX ``fork`` only)
+    are forked on the first ``train`` call, from the process that holds
+    the train and test sets and every client's partition and prior, so
+    none of that is sent; the calling process trains no client. Each
+    round a worker receives the global ``ModelParams``, the round, the
+    lr and the id and history (or None) of every size-th sampled client
+    (all clients of a run have the same n_k, so dealing in turn balances
+    the work), and replies with each one's ``ClientResult``. Both ends
+    of each pipe are this module's, so the pickles read are only ones
+    it wrote. ``close`` reaps the workers.
     """
 
     def __init__(
@@ -240,26 +242,32 @@ class WorkerPool:
             os.close(replies_w)
             self._workers.append((pid, open(requests_w, "wb"), open(replies_r, "rb")))
 
+    def _train(
+        self, global_params: ModelParams, round_t: int, lr: float, jobs
+    ) -> list[ClientResult]:
+        """Train each ``(client id, history)`` job from ``global_params``."""
+        train, test, clients, cfg = self._state
+        results = []
+        for cid, history in jobs:
+            client = clients[cid]
+            params, new_history, losses = _train_one(
+                global_params, round_t, client, history, train, lr, cfg
+            )
+            results.append((params, new_history, losses, _local_accuracy(params, client, test)))
+        return results
+
     def _serve(self, requests_fd: int, replies_fd: int) -> None:
         """A worker's loop: train each request's clients, until the parent
         closes the request pipe. Replies with the clients' results, or with
         the exception that stopped them."""
-        train, test, clients, cfg = self._state
         with open(requests_fd, "rb") as requests, open(replies_fd, "wb") as replies:
             while True:
                 try:
-                    global_params, round_t, lr, jobs = pickle.load(requests)
+                    request = pickle.load(requests)
                 except EOFError:
                     return
                 try:
-                    reply = []
-                    for cid, history in jobs:
-                        client = clients[cid]
-                        params, new_history, losses = _train_one(
-                            global_params, round_t, client, history, train, lr, cfg
-                        )
-                        accuracy = _local_accuracy(params, client, test)
-                        reply.append((params, new_history, losses, accuracy))
+                    reply = self._train(*request)
                 except Exception as exc:  # re-raised by the parent
                     reply = exc
                 pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
@@ -269,9 +277,11 @@ class WorkerPool:
         self, global_params: ModelParams, round_t: int, lr: float, sampled: list[ClientState]
     ) -> list[ClientResult]:
         """Train ``sampled`` from ``global_params``; results in ``sampled`` order."""
+        jobs = [(client.client_id, client.history) for client in sampled]
+        if self.size == 1:
+            return self._train(global_params, round_t, lr, jobs)
         if not self._workers:
             self._fork()
-        jobs = [(client.client_id, client.history) for client in sampled]
         for w, (pid, requests, _) in enumerate(self._workers):
             try:
                 request = (global_params, round_t, lr, jobs[w :: self.size])
@@ -314,23 +324,11 @@ def run_round(
     cfg: ExperimentConfig,
 ) -> RoundReport:
     """Advance the federation by one round, mutating server and clients.
-
-    The clients train on ``server.workers`` when it is set, else here.
-    """
+    The sampled clients train on ``server.workers``."""
     t = server.round
     sampled = sample_clients(cfg.num_clients, cfg.fraction, t, cfg.seed)
     lr = lr_schedule(cfg.base_lr, t, cfg.lr_decay)
-
-    if server.workers is not None:
-        results = server.workers.train(server.global_params, t, lr, [clients[cid] for cid in sampled])
-    else:
-        results = []
-        for cid in sampled:
-            client = clients[cid]
-            params, history, losses = _train_one(
-                server.global_params, t, client, client.history, train, lr, cfg
-            )
-            results.append((params, history, losses, _local_accuracy(params, client, test)))
+    results = server.workers.train(server.global_params, t, lr, [clients[cid] for cid in sampled])
 
     accuracies: list[float] = []
     traces: list[list[float]] = []
@@ -414,7 +412,9 @@ def build_federation(
     train: LabeledDataset,
     test: LabeledDataset,
 ) -> tuple[ServerState, dict[int, ClientState]]:
-    """Partition the data, assign test splits and priors, init the model."""
+    """Partition the data, assign test splits and priors, init the model,
+    and give the server a ``WorkerPool`` of ``worker_count(cfg)``; a caller
+    that runs rounds on a ``workers`` > 1 config must close ``server.workers``."""
     if cfg.partition == "sharding":
         partitions = partition_sharding(train, cfg.shards_per_client, cfg.num_clients, cfg.seed)
     else:
@@ -430,8 +430,8 @@ def build_federation(
             )
         clients[part.client_id] = ClientState(part.client_id, part, prior)
     layer_sizes = [train.dim, *cfg.hidden, train.num_classes]
-    server = ServerState(init_model(layer_sizes, cfg.seed), round=0)
-    return server, clients
+    pool = WorkerPool(worker_count(cfg), train, test, clients, cfg)
+    return ServerState(init_model(layer_sizes, cfg.seed), 0, pool), clients
 
 
 def run_experiment(
@@ -447,9 +447,6 @@ def run_experiment(
     """
     train, test = _load_dataset_pair(cfg)
     server, clients = build_federation(cfg, train, test)
-    size = worker_count(cfg)
-    if size > 1:
-        server.workers = WorkerPool(size, train, test, clients, cfg)
     rounds: list[RoundRecord] = []
     sweeps: list[SweepRecord] = []
     try:
@@ -473,8 +470,7 @@ def run_experiment(
                 if sweep_callback is not None:
                     sweep_callback(sweep)
     finally:
-        if server.workers is not None:
-            server.workers.close()
+        server.workers.close()
     return MetricsSeries(rounds=rounds, sweeps=sweeps)
 
 

@@ -110,29 +110,26 @@ def _kd_rows(teacher_rows: np.ndarray, logits: np.ndarray) -> tuple[float, np.nd
 
 def local_loss(
     logits: np.ndarray,
-    labels: np.ndarray | None,
+    labels: np.ndarray,
     log_prior: np.ndarray | None = None,
     teacher: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """The local objective on one (B, L) batch and its logit gradient.
 
     Cross-entropy of ``logits + log_prior`` (plain logits when
-    ``log_prior`` is None, no CE term when ``labels`` is None), plus
-    KL(teacher || softmax(logits)) when ``teacher`` rows are given; the
-    distillation term always sees the uncalibrated logits. Returns
-    (loss, dlogits, probs), with probs the student softmax when the KL
-    term ran and None otherwise. The trainer validates its inputs once
-    per call or per epoch; the only per-batch check is ``softmax_ce``'s
-    label dtype and range check, kept because that function is public.
+    ``log_prior`` is None), plus KL(teacher || softmax(logits)) when
+    ``teacher`` rows are given; the distillation term always sees the
+    uncalibrated logits. Returns (loss, dlogits, probs), with probs the
+    student softmax when the KL term ran and None otherwise. The trainer
+    validates its inputs once per call or per epoch; the only per-batch
+    check is ``softmax_ce``'s label dtype and range check, kept because
+    that function is public.
     """
-    loss, dlogits, probs = 0.0, None, None
-    if labels is not None:
-        loss, dlogits = softmax_ce(logits if log_prior is None else logits + log_prior, labels)
-    if teacher is not None:
-        kd_loss, kd_grad, probs = _kd_rows(teacher, logits)
-        loss = loss + kd_loss
-        dlogits = kd_grad if dlogits is None else dlogits + kd_grad
-    return loss, dlogits, probs
+    loss, dlogits = softmax_ce(logits if log_prior is None else logits + log_prior, labels)
+    if teacher is None:
+        return loss, dlogits, None
+    kd_loss, kd_grad, probs = _kd_rows(teacher, logits)
+    return loss + kd_loss, dlogits + kd_grad, probs
 
 
 def calibrated_ce_loss(logits: np.ndarray, labels, prior) -> tuple[float, np.ndarray]:
@@ -181,7 +178,7 @@ def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]
         raise ContractViolation(
             f"teacher shape {rows.shape} does not match logits shape {logits.shape}"
         )
-    loss, dlogits, _ = local_loss(logits, None, teacher=rows)
+    loss, dlogits, _ = _kd_rows(rows, logits)
     return loss, (dlogits[0] if single else dlogits)
 
 

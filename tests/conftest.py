@@ -1,5 +1,5 @@
 """Shared fixtures: a check that no test leaves a child process behind,
-and an MNIST-layout digit corpus on disk.
+the numpy and BLAS build, and an MNIST-layout digit corpus on disk.
 
 Image-scale tests read IDX files from a directory. Point the
 FEDPSD_MNIST_DIR environment variable at real MNIST files to run them
@@ -103,6 +103,14 @@ def mnist_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("mnist_idx")
     write_digit_corpus(out)
     return out
+
+
+@pytest.fixture(scope="session")
+def blas_build() -> str:
+    """The numpy and BLAS build, for the messages of tests whose bytes
+    another BLAS may round differently."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}"
 
 
 @pytest.fixture(autouse=True)

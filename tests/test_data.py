@@ -132,6 +132,23 @@ class TestIdx:
         with pytest.raises(ContractViolation):
             save_idx(ds)
 
+    def test_save_rejects_nan_features(self):
+        # NaN fails every comparison, so a min/max check would pass it and
+        # the cast would write it as pixel 0.
+        ds = LabeledDataset(np.array([[np.nan, 0.5]]), np.array([0]), num_classes=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match=r"\[0, 1\]"):
+                save_idx(ds)
+
+    def test_save_rejects_labels_that_do_not_fit_a_byte(self):
+        # Written as bytes, 257 and 299 would read back as 1 and 43.
+        ds = LabeledDataset(np.zeros((3, 2)), np.array([0, 257, 299]), num_classes=300)
+        with pytest.raises(ContractViolation, match="below 256"):
+            save_idx(ds)
+        top = LabeledDataset(np.zeros((2, 2)), np.array([0, 255]), num_classes=256)
+        assert load_idx(*save_idx(top)).labels.tolist() == [0, 255]
+
 
 def _write_idx_files(directory, images, labels):
     (directory / "images").write_bytes(images)
@@ -211,6 +228,11 @@ class TestSynth:
     def test_bad_arguments(self):
         with pytest.raises(ContractViolation):
             synth_generate(1, 4, 5, seed=0, spread=0.1)
+
+    @pytest.mark.parametrize("spread", [np.nan, np.inf, -0.1])
+    def test_spread_outside_range_rejected(self, spread):
+        with pytest.raises(ContractViolation, match="spread"):
+            synth_generate(2, 4, 5, seed=0, spread=spread)
 
 
 class TestClientPartition:
@@ -308,6 +330,12 @@ class TestDirichlet:
         with pytest.raises(PartitionError, match="larger"):
             partition_dirichlet(ds, 0.5, 10, seed=0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0])
+    def test_alpha_outside_range_rejected(self, alpha):
+        ds = synth_generate(2, 4, 10, seed=0, spread=0.2)
+        with pytest.raises(PartitionError, match="alpha"):
+            partition_dirichlet(ds, alpha, 2, seed=0)
+
 
 class TestClientTestSplit:
     def test_single_class_client(self):
@@ -382,3 +410,8 @@ class TestClassPrior:
     def test_zero_epsilon_with_absent_class(self):
         with pytest.raises(ContractViolation):
             class_prior(np.zeros(4, dtype=int), 2, epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ContractViolation, match="epsilon"):
+            class_prior(np.array([0, 1]), 2, epsilon=epsilon)

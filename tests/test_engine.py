@@ -1,4 +1,5 @@
 """Round loop, aggregation, baselines, and end-to-end determinism."""
+import ast
 import dataclasses
 import errno
 import math
@@ -6,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -306,15 +307,15 @@ class TestRunRound:
         [(params, _)] = aggregated[-1]
         assert server.global_params.flat.tobytes() == params.flat.tobytes()
 
-    def test_threaded_round_leaves_pre_round_global_untouched(self, aggregated):
-        # Every client trains from the same global model object, on the
-        # calling thread or in a worker; an in-place write to it would be
+    def test_round_leaves_pre_round_global_untouched(self, aggregated):
+        # Every client trains from the same global model object, in the
+        # calling process or in a worker; an in-place write to it would be
         # silent and order-dependent.
         cfg = _small_cfg(algorithm="fedprox", prox_mu=0.1, workers=2, fraction=1.0)
         train, test, server, clients = _federation(cfg)
-        pool = engine.WorkerPool(2, train, test, clients, cfg)
+        pool = server.workers
         try:
-            for workers in (None, pool):
+            for workers in (engine.WorkerPool(1, train, test, clients, cfg), pool):
                 server.workers = workers
                 pre_round = server.global_params
                 before = pre_round.flat.tobytes()
@@ -348,9 +349,9 @@ class TestRunRound:
 @pytest.fixture
 def worker_log(monkeypatch):
     """Records the pid of each worker process this process forks and the
-    thread of each client trained in this process (a worker's records
-    stay in the worker). Allows 8 cpus, so the cpu count caps no run."""
-    log = SimpleNamespace(forks=[], threads=[])
+    id of each client trained in this process (a worker's records stay in
+    the worker). Allows 8 cpus, so the cpu count caps no run."""
+    log = SimpleNamespace(forks=[], trained=[])
     real_fork, real_train = os.fork, engine._train_one
 
     def fork():
@@ -359,9 +360,9 @@ def worker_log(monkeypatch):
             log.forks.append(pid)
         return pid
 
-    def train_one(*args):
-        log.threads.append(threading.get_ident())
-        return real_train(*args)
+    def train_one(global_params, round_t, client, *args):
+        log.trained.append(client.client_id)
+        return real_train(global_params, round_t, client, *args)
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
@@ -374,42 +375,37 @@ def _one_round(cfg):
     return run_round(server, clients, train, test, cfg), server
 
 
-class TestPoolGate:
-    def test_one_worker_trains_on_calling_thread(self, worker_log):
+class TestWorkerPool:
+    def test_one_worker_trains_in_the_calling_process(self, worker_log):
         series = run_experiment(_small_cfg(workers=1, t_total=2))
         assert worker_log.forks == []
-        trained = sum(len(r.sampled) for r in series.rounds)
-        assert worker_log.threads == [threading.get_ident()] * trained
+        assert worker_log.trained == [cid for r in series.rounds for cid in r.sampled]
 
-    def test_large_model_uses_pool_with_same_report(self, worker_log):
+    def test_two_workers_give_the_one_worker_report(self, worker_log):
         cfg = _small_cfg(synth_dim=256, hidden=(128,), algorithm="fedpsd", t_total=1, workers=2)
-        # run_round on a server without workers trains here, whatever
-        # cfg.workers says.
-        serial, serial_server = _one_round(cfg)
+        alone, alone_server = _one_round(dataclasses.replace(cfg, workers=1))
         assert worker_log.forks == []
-        assert worker_log.threads == [threading.get_ident()] * len(serial.sampled)
+        assert worker_log.trained == alone.sampled
         train, test, server, clients = _federation(cfg)
-        server.workers = engine.WorkerPool(2, train, test, clients, cfg)
         try:
             pooled = run_round(server, clients, train, test, cfg)
         finally:
             server.workers.close()
         assert len(worker_log.forks) == 2
-        assert len(worker_log.threads) == len(serial.sampled)  # none trained here
-        assert pooled == serial
-        assert server.global_params.flat.tobytes() == serial_server.global_params.flat.tobytes()
+        assert worker_log.trained == alone.sampled  # none trained here
+        assert pooled == alone
+        assert server.global_params.flat.tobytes() == alone_server.global_params.flat.tobytes()
 
-    def test_uneven_deal_matches_inline_rounds(self, worker_log):
+    def test_uneven_deal_matches_one_worker_rounds(self, worker_log):
         # 5 clients on 2 workers: one worker trains 3, the other 2.
         cfg = _small_cfg(num_clients=5, fraction=1.0, algorithm="fedpsd", workers=2)
-        train, test, inline, inline_clients = _federation(cfg)
+        train, test, alone, alone_clients = _federation(dataclasses.replace(cfg, workers=1))
         _, _, pooled, pooled_clients = _federation(cfg)
-        pooled.workers = engine.WorkerPool(2, train, test, pooled_clients, cfg)
         try:
             for _ in range(2):  # round 2 sends the workers round 1's histories
-                expected = run_round(inline, inline_clients, train, test, cfg)
+                expected = run_round(alone, alone_clients, train, test, cfg)
                 assert run_round(pooled, pooled_clients, train, test, cfg) == expected
-                assert pooled.global_params.flat.tobytes() == inline.global_params.flat.tobytes()
+                assert pooled.global_params.flat.tobytes() == alone.global_params.flat.tobytes()
         finally:
             pooled.workers.close()
         assert len(worker_log.forks) == 2
@@ -442,7 +438,22 @@ class TestPoolGate:
         monkeypatch.setattr(engine, "run_round", spy)
         run_experiment(_small_cfg(workers=8, fraction=0.5, t_total=3))
         assert forked_at_round_start == [0, 3, 3]
-        assert worker_log.threads == []
+        assert worker_log.trained == []
+
+    def test_only_worker_pool_train_calls_train_one(self):
+        # One loop trains a round's clients, in the calling process or in a
+        # worker; run_round hands them all to server.workers.
+        tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+        pool = next(n for n in tree.body if getattr(n, "name", None) == "WorkerPool")
+        train = next(n for n in pool.body if getattr(n, "name", None) == "_train")
+
+        def calls(node):
+            return sum(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_train_one"
+                for call in ast.walk(node)
+            )
+
+        assert calls(tree) == calls(train) == 1
 
 
 class TestWorkers:
@@ -452,7 +463,7 @@ class TestWorkers:
         ):
             run_experiment(_small_cfg(workers=2, base_lr=1e200))
         assert len(worker_log.forks) == 2
-        assert worker_log.threads == []  # raised where the clients trained
+        assert worker_log.trained == []  # raised where the clients trained
 
     def test_worker_that_dies_mid_round_is_named(self, worker_log, monkeypatch):
         parent, real_train = os.getpid(), engine._train_one

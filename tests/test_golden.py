@@ -45,13 +45,8 @@ GOLDEN = {
 }
 
 
-def _build() -> str:
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}"
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_output_bytes_match_golden(name, tmp_path):
+def test_output_bytes_match_golden(name, tmp_path, blas_build):
     overrides, want = GOLDEN[name]
     series = run_experiment(ExperimentConfig(**{**_BASE, **overrides}))
     emit_metrics(series, tmp_path / "metrics.csv")
@@ -59,7 +54,7 @@ def test_output_bytes_match_golden(name, tmp_path):
     digest = hashlib.sha256(
         (tmp_path / "metrics.csv").read_bytes() + (tmp_path / "sweeps.csv").read_bytes()
     ).hexdigest()
-    assert digest == want, f"{name}: sha256 {digest} on {_build()}"
+    assert digest == want, f"{name}: sha256 {digest} on {blas_build}"
 
 
 # The same pins for a run that reads its data from IDX files: a seeded
@@ -84,14 +79,14 @@ def _idx_config(directory) -> ExperimentConfig:
     })
 
 
-def test_idx_output_bytes_match_golden(tmp_path):
+def test_idx_output_bytes_match_golden(tmp_path, blas_build):
     series = run_experiment(_idx_config(tmp_path))
     emit_metrics(series, tmp_path / "metrics.csv")
     emit_sweeps(series, tmp_path / "sweeps.csv")
     digest = hashlib.sha256(
         (tmp_path / "metrics.csv").read_bytes() + (tmp_path / "sweeps.csv").read_bytes()
     ).hexdigest()
-    assert digest == IDX_GOLDEN, f"idx: sha256 {digest} on {_build()}"
+    assert digest == IDX_GOLDEN, f"idx: sha256 {digest} on {blas_build}"
 
 
 # The IDX run's raw bits, which the six-decimal CSV rounds away: the
@@ -100,7 +95,7 @@ def test_idx_output_bytes_match_golden(tmp_path):
 IDX_RAW_GOLDEN = "b9028b8bf12a73c795e72ea986343d3c6bc254a4509a83459b5c170a2ab2b80b"
 
 
-def test_idx_raw_bits_match_golden(tmp_path):
+def test_idx_raw_bits_match_golden(tmp_path, blas_build):
     cfg = _idx_config(tmp_path)
     train, test = engine._load_dataset_pair(cfg)
     server, clients = engine.build_federation(cfg, train, test)
@@ -109,4 +104,4 @@ def test_idx_raw_bits_match_golden(tmp_path):
     digest = hashlib.sha256(server.global_params.flat.tobytes())
     for _, client in sorted(clients.items()):
         digest.update(b"none" if client.history is None else client.history.tobytes())
-    assert digest.hexdigest() == IDX_RAW_GOLDEN, f"idx raw: sha256 {digest.hexdigest()} on {_build()}"
+    assert digest.hexdigest() == IDX_RAW_GOLDEN, f"idx raw: sha256 {digest.hexdigest()} on {blas_build}"

@@ -86,7 +86,7 @@ class TestRowBlocks:
         "sizes", [[784, 128, 10], [32, 64, 32, 10], [784, 128, 2], [32, 64, 32, 4]],
         ids=lambda sizes: "-".join(map(str, sizes)),
     )
-    def test_blocked_logits_are_one_whole_set_forward(self, sizes):
+    def test_blocked_logits_are_one_whole_set_forward(self, sizes, blas_build):
         # OpenBLAS computes a product of at most 1,200 outputs with another
         # kernel: a 2-class block of 600 rows or a 10-class block of 120
         # would move the logits' last bits.
@@ -97,7 +97,12 @@ class TestRowBlocks:
             whole = forward(model, x[:n])
             blocks = row_blocks(n, model)
             logits = np.concatenate([forward(model, x[block]) for block in blocks])
-            assert logits.tobytes() == whole.tobytes(), (sizes, n)
+            assert logits.tobytes() == whole.tobytes(), (
+                f"{sizes}, n={n}: blocked logits differ from one whole-set forward on "
+                f"{blas_build}; the kernel switch nn._SMALL_PRODUCT_OUTPUTS = "
+                f"{nn._SMALL_PRODUCT_OUTPUTS} outputs was measured on numpy 2.4.6, "
+                "BLAS scipy-openblas 0.3.31.188.0"
+            )
             lengths = [block.stop - block.start for block in blocks]
             assert blocks[0].start == 0 and blocks[-1].stop == n
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))

@@ -1,11 +1,11 @@
 """The benchmark's workloads and the input files it renders.
 
 ``engine.run_experiment`` trains a round's clients in worker processes
-when ``engine.worker_count`` allows more than one, and on the calling
-thread otherwise. This reads the benchmark's workload configs
+when ``engine.worker_count`` allows more than one, and in the calling
+process otherwise. This reads the benchmark's workload configs
 (``perfbench/run.py``, imported, never run) and checks that the image
 and many-clients workloads measure the worker side and the desk
-workload the calling-thread side, so a change to the cap or to a
+workload the calling-process side, so a change to the cap or to a
 workload cannot leave one side unmeasured. No experiment runs.
 
 It also renders a tiny split with ``perfbench/inputs.py`` (imported,

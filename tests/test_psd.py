@@ -230,6 +230,24 @@ class TestKDLoss:
 
             assert finite_diff_check(model, x, combined) < 1e-4
 
+    def test_trainer_loss_is_the_two_wrappers_summed(self):
+        # The trainer's per-batch local_loss and the public wrappers share
+        # one copy of each term, so a batch's loss and gradient are theirs
+        # to the bit.
+        rng = np.random.default_rng(9)
+        logits = rng.standard_normal((6, 4))
+        labels = rng.integers(0, 4, size=6)
+        teacher = rng.dirichlet(np.ones(4), size=6)
+        prior = rng.dirichlet(np.ones(4)) + 0.05
+        prior /= prior.sum()
+        loss, grad, probs = psd.local_loss(logits, labels, np.log(prior), teacher)
+        ce, ce_grad = calibrated_ce_loss(logits, labels, prior)
+        kd, kd_grad = psd_kd_loss(teacher, logits)
+        assert loss == ce + kd
+        assert grad.tobytes() == (ce_grad + kd_grad).tobytes()
+        assert probs.tobytes() == np.exp(nn.log_softmax(logits)).tobytes()
+        assert psd.local_loss(logits, labels)[2] is None
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
             psd_kd_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
