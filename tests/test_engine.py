@@ -2,6 +2,7 @@
 import ast
 import dataclasses
 import errno
+import itertools
 import math
 import os
 import re
@@ -130,36 +131,82 @@ def _one_client(seed=0, classes=2, per_class=40, spread=0.1):
     return ds
 
 
-def _reference_local_update(model, features, labels, client_id, round_t, lr, cfg):
-    """The FedAvg local update written out step by step, plus FedProx's
-    proximal pull: an oracle for the trainer that shares none of its code.
+def _reference_local_update(model, features, labels, client_id, round_t, lr, cfg, prior=None, history=None):
+    """The local update written out step by step from its equations: an
+    oracle for the trainer that shares none of its code.
 
-    Parameters are kept as [w0, b0, w1, b1, ...], the order in which the
-    trainer sums the proximal penalty.
+    Every algorithm runs mini-batch SGD with classical momentum on the
+    batch-mean cross-entropy; FedProx adds (mu/2) ||w - w_global||^2.
+    FedPSD, with alpha = t / t_total:
+
+    - cll: the cross-entropy sees the prior-shifted logits f + ln P;
+    - rhpk: in epoch 1, once the client has a history, the teacher is
+      alpha * history + (1 - alpha) * onehot; the new history is the
+      trained model's softmax over the local set;
+    - psd: in epochs >= 2 the teacher is alpha * q + (1 - alpha) * onehot,
+      q being each sample's student softmax at its forward pass in the
+      previous epoch;
+    - a teacher adds KL(teacher || softmax(f)), on the plain logits f.
+
+    Returns (params, losses, history): params as [w0, b0, w1, b1, ...],
+    the order in which the trainer sums the proximal penalty, and the
+    history None unless fedpsd runs with rhpk.
     """
     params = [a.copy() for a in model.arrays()]
     anchor = model.arrays()
     velocity = [np.zeros_like(a) for a in params]
     layers = len(params) // 2
+    n = labels.shape[0]
+    fedpsd = cfg.algorithm == "fedpsd"
     mu = cfg.prox_mu if cfg.algorithm == "fedprox" else None
+    alpha = round_t / cfg.t_total
+    onehot = np.zeros((n, model.num_classes))
+    onehot[np.arange(n), labels] = 1.0
+
+    def log_softmax(z):
+        shifted = z - z.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def activations(x):
+        inputs = [x]
+        for i in range(layers):
+            z = inputs[-1] @ params[2 * i].T + params[2 * i + 1]
+            inputs.append(z if i == layers - 1 else np.maximum(z, 0.0))
+        return inputs
+
     rng = np.random.default_rng([cfg.seed, LOCAL_SHUFFLE_STREAM, round_t, client_id])
-    losses = []
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(labels.shape[0])
-        for start in range(0, labels.shape[0], cfg.batch_size):
+    losses, recorded = [], None
+    for epoch in range(cfg.epochs):
+        teacher = None
+        if epoch == 0 and fedpsd and cfg.rhpk and history is not None:
+            teacher = alpha * history + (1.0 - alpha) * onehot
+        elif epoch > 0 and fedpsd and cfg.psd:
+            teacher = alpha * recorded + (1.0 - alpha) * onehot
+        recorded = np.empty_like(onehot)
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            rows, y = np.arange(idx.size), labels[idx]
-            inputs = [features[idx]]
-            for i in range(layers):
-                z = inputs[-1] @ params[2 * i].T + params[2 * i + 1]
-                inputs.append(z if i == layers - 1 else np.maximum(z, 0.0))
+            rows, y, b = np.arange(idx.size), labels[idx], idx.size
+            inputs = activations(features[idx])
             logits = inputs.pop()
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            log_p = log_softmax(logits + np.log(prior) if fedpsd and cfg.cll else logits)
             loss = float(-log_p[rows, y].mean())
-            target = np.zeros_like(logits)
-            target[rows, y] = 1.0
-            delta = (np.exp(log_p) - target) / idx.size
+            delta = (np.exp(log_p) - onehot[idx]) / b
+            if teacher is None:
+                q = softmax(logits)
+            else:
+                # q is read off the log-softmax the KL term needs, not
+                # recomputed: the two forms differ in the last bits.
+                t, log_q = teacher[idx], log_softmax(logits)
+                q = np.exp(log_q)
+                t_log_t = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0)
+                loss = loss + float((t_log_t.sum(axis=1) - (t * log_q).sum(axis=1)).mean())
+                delta = delta + (q - t) / b
+            recorded[idx] = q
             grads = [None] * len(params)
             for i in reversed(range(layers)):
                 grads[2 * i] = delta.T @ inputs[i]
@@ -177,7 +224,9 @@ def _reference_local_update(model, features, labels, client_id, round_t, lr, cfg
                 velocity[j] = cfg.momentum * velocity[j] + (grads[j] + cfg.weight_decay * params[j])
                 params[j] = params[j] - lr * velocity[j]
             losses.append(loss)
-    return params, losses
+    if not (fedpsd and cfg.rhpk):
+        return params, losses, None
+    return params, losses, softmax(activations(features)[-1])
 
 
 class TestLocalBaseline:
@@ -241,7 +290,7 @@ class TestLocalBaseline:
         params, history, losses = local_train_fedpsd(
             model, ds.features, ds.labels, prior, None, 3, 2, 0.04, cfg
         )
-        want_params, want_losses = _reference_local_update(
+        want_params, want_losses, _ = _reference_local_update(
             model, ds.features, ds.labels, 3, 2, 0.04, cfg
         )
         assert losses == want_losses
@@ -297,6 +346,40 @@ def aggregated(monkeypatch):
 
     monkeypatch.setattr(engine, "aggregate", spy)
     return seen
+
+
+class TestFedPSDReference:
+    @pytest.mark.parametrize(
+        "flags",
+        [dict(zip(("rhpk", "psd", "cll"), on)) for on in itertools.product((False, True), repeat=3)],
+        ids=lambda flags: "+".join(name for name, on in flags.items() if on) or "none",
+    )
+    def test_three_rounds_match_the_straight_line_reference(self, aggregated, flags):
+        # Every client trains every round, so from round 1 on each has a
+        # history; alpha = t / 5 is 0, 0.2 and 0.4 over the three rounds.
+        cfg = _small_cfg(
+            algorithm="fedpsd", num_clients=4, fraction=1.0, epochs=3, momentum=0.9,
+            weight_decay=1e-3, **flags,
+        )
+        train, test, server, clients = _federation(cfg)
+        for t in range(3):
+            global_params = server.global_params
+            before = {cid: client.history for cid, client in clients.items()}
+            report = run_round(server, clients, train, test, cfg)
+            lr = lr_schedule(cfg.base_lr, t, cfg.lr_decay)
+            for cid, (params, _), losses in zip(report.sampled, aggregated[-1], report.loss_traces):
+                idx = clients[cid].partition.train_indices
+                want_params, want_losses, want_history = _reference_local_update(
+                    global_params, train.rows(idx), train.labels[idx], cid, t, lr, cfg,
+                    clients[cid].prior, before[cid],
+                )
+                assert losses == want_losses, (t, cid)
+                for got, want in zip(params.arrays(), want_params, strict=True):
+                    assert got.tobytes() == want.tobytes(), (t, cid)
+                if cfg.rhpk:
+                    assert clients[cid].history.tobytes() == want_history.tobytes(), (t, cid)
+                else:
+                    assert clients[cid].history is None and want_history is None
 
 
 class TestRunRound:
