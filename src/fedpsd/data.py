@@ -114,6 +114,11 @@ class RowView:
     def __getitem__(self, i) -> np.ndarray:
         return self.dataset.rows(self.indices[i])
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, dim) of the float64 matrix the view stands for."""
+        return (self.indices.shape[0], self.dataset.dim)
+
 
 @dataclass
 class ClientPartition:

@@ -251,20 +251,33 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its logit gradient.
+def _check_batch(logits: np.ndarray, labels: np.ndarray) -> None:
+    if logits.ndim != 2 or logits.shape[0] == 0:
+        raise ContractViolation(f"logits must be non-empty 2-D, got {logits.shape}")
+    if labels.shape != (logits.shape[0],):
+        raise ContractViolation(
+            f"labels shape {labels.shape} does not match batch {logits.shape[0]}"
+        )
 
-    Returns (loss, dlogits) with dlogits = (softmax(logits) - onehot) / B,
-    computed through log-sum-exp for stability.
-    """
+
+def _ce_inputs(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``logits`` as a non-empty (B, L) float64 batch and ``labels`` as
+    B integers in [0, L); raises ContractViolation otherwise."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    b = logits.shape[0]
+    _check_batch(logits, labels)
     # A negative label would index from the end instead of failing.
     _check_label_range(labels, logits.shape[1])
-    rows = np.arange(b)
-    log_p = log_softmax(logits)
-    loss = float(-log_p[rows, labels].mean())
+    return logits, labels
+
+
+def _ce_terms(log_p: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the (B, L) log-probabilities ``log_p`` at
+    ``labels`` and its logit gradient (exp(log_p) - onehot) / B;
+    ``rows`` is arange(B). Unchecked."""
+    b = log_p.shape[0]
+    # sum / b is how np.mean computes a mean, to the bit.
+    loss = -float(log_p[rows, labels].sum()) / b
     # (p - onehot) / b without the one-hot: the same IEEE operations.
     dlogits = np.exp(log_p)
     dlogits[rows, labels] -= 1.0
@@ -272,17 +285,22 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     return loss, dlogits
 
 
+def softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy and its logit gradient.
+
+    Returns (loss, dlogits) with dlogits = (softmax(logits) - onehot) / B,
+    computed through log-sum-exp for stability.
+    """
+    logits, labels = _ce_inputs(logits, labels)
+    return _ce_terms(log_softmax(logits), labels, np.arange(logits.shape[0]))
+
+
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows whose argmax matches the label; ties go to the
     lowest class index."""
     logits = np.asarray(logits)
     labels = np.asarray(labels)
-    if logits.ndim != 2 or logits.shape[0] == 0:
-        raise ContractViolation(f"logits must be non-empty 2-D, got {logits.shape}")
-    if labels.shape != (logits.shape[0],):
-        raise ContractViolation(
-            f"labels shape {labels.shape} does not match batch {logits.shape[0]}"
-        )
+    _check_batch(logits, labels)
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
@@ -302,8 +320,8 @@ def init_optimizer(
     momentum: float = 0.0,
     weight_decay: float = 0.0,
 ) -> OptimizerState:
-    if learning_rate < 0 or momentum < 0 or weight_decay < 0:
-        raise ContractViolation("optimizer hyperparameters must be non-negative")
+    if not all(math.isfinite(h) and h >= 0 for h in (learning_rate, momentum, weight_decay)):
+        raise ContractViolation("optimizer hyperparameters must be finite and non-negative")
     return OptimizerState(
         velocity=model.zeros_like(),
         learning_rate=learning_rate,

@@ -16,6 +16,7 @@ removes each term; with everything off FedPSD runs the FedAvg update.
 """
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -25,6 +26,8 @@ from .nn import (
     ContractViolation,
     ModelParams,
     _backprop_from_acts,
+    _ce_inputs,
+    _ce_terms,
     _forward_cached,
     forward,
     init_optimizer,
@@ -94,18 +97,44 @@ def _prior_probs(prior) -> np.ndarray:
     return probs
 
 
-def _kd_rows(teacher_rows: np.ndarray, logits: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Batch-mean KL(teacher || softmax(logits)), its logit gradient, and
-    the student probabilities (reused by the epoch cache)."""
-    b = logits.shape[0]
-    log_p = log_softmax(logits)
+def _neg_entropy(teacher: np.ndarray) -> np.ndarray:
+    """Each row's sum of t log t (0 log 0 = 0): minus the teacher's entropy."""
+    positive = teacher > 0.0
+    return np.where(positive, teacher * np.log(np.where(positive, teacher, 1.0)), 0.0).sum(axis=1)
+
+
+def _kd_rows(log_p, teacher, neg_entropy) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch-mean KL(teacher || exp(log_p)), its logit gradient, and the
+    student probabilities (reused by the epoch cache), given the teacher
+    rows' ``_neg_entropy``. Unchecked."""
+    b = log_p.shape[0]
     probs = np.exp(log_p)
-    t = teacher_rows
-    neg_entropy = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0).sum(axis=1)
-    cross = -(t * log_p).sum(axis=1)
-    loss = float((neg_entropy + cross).mean())
-    dlogits = (probs - t) / b
+    # sum / b is how np.mean computes a mean, to the bit.
+    loss = float((neg_entropy - (teacher * log_p).sum(axis=1)).sum()) / b
+    dlogits = probs - teacher
+    dlogits /= b
     return loss, dlogits, probs
+
+
+def _batch_loss(logits, labels, rows, log_prior, kd) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The trainer's unchecked kernel for ``local_loss`` on one (B, L)
+    batch; ``rows`` is arange(B) and ``kd`` is None or (teacher rows,
+    their ``_neg_entropy``). Both log-softmaxes run as one stacked pass,
+    or as one shared pass when ``log_prior`` is None."""
+    if kd is None:
+        log_p = log_softmax(logits if log_prior is None else logits + log_prior)
+        return *_ce_terms(log_p, labels, rows), None
+    if log_prior is None:
+        ce_log_p = kd_log_p = log_softmax(logits)
+    else:
+        stacked = np.empty((2, *logits.shape))
+        np.add(logits, log_prior, out=stacked[0])
+        stacked[1] = logits
+        ce_log_p, kd_log_p = log_softmax(stacked)
+    loss, dlogits = _ce_terms(ce_log_p, labels, rows)
+    kd_loss, kd_grad, probs = _kd_rows(kd_log_p, *kd)
+    dlogits += kd_grad
+    return loss + kd_loss, dlogits, probs
 
 
 def local_loss(
@@ -120,16 +149,17 @@ def local_loss(
     ``log_prior`` is None), plus KL(teacher || softmax(logits)) when
     ``teacher`` rows are given; the distillation term always sees the
     uncalibrated logits. Returns (loss, dlogits, probs), with probs the
-    student softmax when the KL term ran and None otherwise. The trainer
-    validates its inputs once per call or per epoch; the only per-batch
-    check is ``softmax_ce``'s label dtype and range check, kept because
-    that function is public.
+    student softmax when the KL term ran and None otherwise.
+
+    The trainer runs the same arithmetic, ``_batch_loss``, without the
+    checks this runs on every call (non-empty logits, integer labels in
+    range) and with the teacher's entropy computed once per epoch.
     """
-    loss, dlogits = softmax_ce(logits if log_prior is None else logits + log_prior, labels)
     if teacher is None:
-        return loss, dlogits, None
-    kd_loss, kd_grad, probs = _kd_rows(teacher, logits)
-    return loss + kd_loss, dlogits + kd_grad, probs
+        return *softmax_ce(logits if log_prior is None else logits + log_prior, labels), None
+    logits, labels = _ce_inputs(logits, labels)
+    kd = (teacher, _neg_entropy(teacher))
+    return _batch_loss(logits, labels, np.arange(logits.shape[0]), log_prior, kd)
 
 
 def calibrated_ce_loss(logits: np.ndarray, labels, prior) -> tuple[float, np.ndarray]:
@@ -178,7 +208,7 @@ def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]
         raise ContractViolation(
             f"teacher shape {rows.shape} does not match logits shape {logits.shape}"
         )
-    loss, dlogits, _ = _kd_rows(rows, logits)
+    loss, dlogits, _ = _kd_rows(log_softmax(logits), rows, _neg_entropy(rows))
     return loss, (dlogits[0] if single else dlogits)
 
 
@@ -215,9 +245,14 @@ def local_train_fedpsd(
     epochs toward the fused outputs cached during the previous epoch
     (psd).
 
-    ``features`` is the (n_k, d) float64 local set, or anything whose
-    ``[idx]`` gives those rows, such as a ``data.RowView``; it is read
-    one batch, or one ``row_blocks`` block, at a time.
+    ``features`` is the (n_k, d) float64 local set, or anything of that
+    ``shape`` whose ``[idx]`` gives those rows, such as a
+    ``data.RowView``; it is read one batch, or one ``row_blocks`` block,
+    at a time.
+
+    Inputs are checked once per call; each epoch's teacher and its
+    ``_neg_entropy`` are built once (the trainer's own cache unchecked);
+    per batch, only a non-finite loss or gradient stops the run.
 
     Under rhpk, the only reader, the new history is the trained model's
     (n_k, L) softmax over the full local set, computed in blocks that
@@ -228,6 +263,11 @@ def local_train_fedpsd(
     """
     n = labels.shape[0]
     num_classes = global_params.num_classes
+    if features.shape != (n, global_params.layer_sizes()[0]):
+        raise ContractViolation(
+            f"client {client_id} features of shape {features.shape} do not match "
+            f"{n} labels and input dim {global_params.layer_sizes()[0]}"
+        )
     fedpsd = cfg.algorithm == "fedpsd"
     rhpk = fedpsd and cfg.rhpk
     prox = cfg.algorithm == "fedprox"
@@ -245,6 +285,7 @@ def local_train_fedpsd(
             f"({n}, {num_classes}); partitions must stay fixed across rounds"
         )
     cache = np.empty((n, num_classes)) if fedpsd and cfg.psd else None
+    rows = np.arange(min(n, cfg.batch_size))
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -252,7 +293,8 @@ def local_train_fedpsd(
         if epoch == 0 and rhpk and history is not None:
             teacher = fuse_labels(history, onehots, alpha)
         elif epoch > 0 and cache is not None:
-            teacher = fuse_labels(cache, onehots, alpha)
+            teacher = alpha * cache + (1.0 - alpha) * onehots  # as fuse_labels fuses
+        neg_entropy = None if teacher is None else _neg_entropy(teacher)
         # The cache written during this epoch feeds the next one.
         fill_cache = cache is not None and epoch < cfg.epochs - 1
 
@@ -260,12 +302,11 @@ def local_train_fedpsd(
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
             logits, acts = _forward_cached(params, features[idx])
-            loss, dlogits, probs = local_loss(
-                logits, labels[idx], log_prior, None if teacher is None else teacher[idx]
-            )
+            kd = None if teacher is None else (teacher[idx], neg_entropy[idx])
+            loss, dlogits, probs = _batch_loss(logits, labels[idx], rows[: idx.size], log_prior, kd)
             if fill_cache:
                 cache[idx] = softmax(logits) if probs is None else probs
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at round {round_t}, client {client_id}, "
                     f"epoch {epoch + 1}, batch {batch_no + 1}"

@@ -99,9 +99,10 @@ def image_runs(mnist_dir):
 def test_criterion_1_gradient_oracles():
     """Analytic gradients of the trainer's own losses match central finite differences.
 
-    ``local_loss`` is the per-batch objective the local trainer calls,
-    here in its four forms (plain CE, calibrated CE, CE + KD, calibrated
-    CE + KD); ``proximal_term`` is the trainer's FedProx pull.
+    ``local_loss`` is the input-checked wrapper of ``psd._batch_loss``,
+    the per-batch objective the local trainer runs, here in its four
+    forms (plain CE, calibrated CE, CE + KD, calibrated CE + KD);
+    ``proximal_term`` is the trainer's FedProx pull.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)

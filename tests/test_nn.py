@@ -268,6 +268,15 @@ class TestSoftmaxCE:
         with pytest.raises(ContractViolation, match=r"labels must lie in \[0, 3\)"):
             softmax_ce(np.zeros((2, 3)), np.array([0, bad]))
 
+    def test_empty_batch_rejected(self):
+        # The batch mean of no rows would be nan, with two RuntimeWarnings.
+        with pytest.raises(ContractViolation, match="non-empty"):
+            softmax_ce(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+    def test_label_count_must_match_batch(self):
+        with pytest.raises(ContractViolation, match="does not match batch"):
+            softmax_ce(np.zeros((2, 3)), np.array([0, 1, 2]))
+
 
 class TestFiniteDiffSelfTest:
     def test_linear_model_plain_ce_single_sample(self):
@@ -278,6 +287,14 @@ class TestFiniteDiffSelfTest:
 
 
 class TestSGD:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.1])
+    @pytest.mark.parametrize("name", ["learning_rate", "momentum", "weight_decay"])
+    def test_hyperparameters_must_be_finite_and_non_negative(self, name, value):
+        model = init_model([2, 3, 2], seed=0)
+        kwargs = {"learning_rate": 0.1, "momentum": 0.5, "weight_decay": 0.01, name: value}
+        with pytest.raises(ContractViolation, match="finite and non-negative"):
+            init_optimizer(model, **kwargs)
+
     def test_all_zero_is_identity(self):
         model = init_model([2, 3, 2], seed=0)
         state = init_optimizer(model, learning_rate=0.5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fedpsd.config import ConfigError, ExperimentConfig, echo_config, parse_config
 from fedpsd.data import LabeledDataset, partition_dirichlet, partition_sharding
+from fedpsd import psd
 from fedpsd.engine import aggregate
 from fedpsd.nn import init_model
 
@@ -128,3 +129,74 @@ def test_dirichlet_gives_disjoint_bounded_shares(ds, data):
     assert [p.client_id for p in partitions] == list(range(k))
     assert all(p.n_k == m // k for p in partitions)
     _assert_disjoint_in_range(partitions, m)
+
+
+def _per_batch_chain(logits, labels, log_prior, teacher):
+    """The trainer's per-batch loss as ``softmax_ce`` and ``_kd_rows``
+    computed it, one log-softmax each: the byte oracle of ``_batch_loss``."""
+    b = logits.shape[0]
+    rows = np.arange(b)
+
+    def log_softmax(z):
+        shifted = z - z.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    log_p = log_softmax(logits if log_prior is None else logits + log_prior)
+    loss = float(-log_p[rows, labels].mean())
+    dlogits = np.exp(log_p)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= b
+    if teacher is None:
+        return loss, dlogits, None
+    log_q = log_softmax(logits)
+    probs = np.exp(log_q)
+    t = teacher
+    neg_entropy = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0).sum(axis=1)
+    cross = -(t * log_q).sum(axis=1)
+    kd_loss = float((neg_entropy + cross).mean())
+    return loss + kd_loss, dlogits + (probs - t) / b, probs
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(min_value=1, max_value=160),
+    batch_size=st.integers(min_value=1, max_value=64),
+    classes=st.integers(min_value=2, max_value=12),
+    scale=_floats(0.0, 700.0),
+    alpha=st.sampled_from((0.0, 0.3, 1.0)),
+    cll=st.booleans(),
+    distill=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_trainer_loss_kernel_matches_the_per_batch_chain_bytewise(
+    n, batch_size, classes, scale, alpha, cll, distill, seed
+):
+    """One epoch of batches as the trainer runs them: the teacher's
+    entropy computed once, then gathered per batch, the last batch short
+    whenever batch_size does not divide n."""
+    rng = np.random.default_rng(seed)
+    logits = rng.uniform(-scale, scale, size=(n, classes))
+    labels = rng.integers(0, classes, size=n)
+    prior = rng.dirichlet(np.full(classes, 0.5)) + 1e-3
+    log_prior = np.log(prior / prior.sum()) if cll else None
+    teacher = neg_entropy = None
+    if distill:
+        raw = rng.dirichlet(np.ones(classes), size=n)
+        raw[rng.random((n, classes)) < 0.4] = 0.0  # exact zeros
+        raw[np.arange(n), rng.integers(0, classes, size=n)] += 0.5
+        onehots = np.eye(classes)[labels]
+        teacher = alpha * (raw / raw.sum(axis=1, keepdims=True)) + (1.0 - alpha) * onehots
+        neg_entropy = psd._neg_entropy(teacher)
+    rows = np.arange(min(n, batch_size))
+    perm = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        idx = perm[start : start + batch_size]
+        kd = None if teacher is None else (teacher[idx], neg_entropy[idx])
+        got = psd._batch_loss(logits[idx], labels[idx], rows[: idx.size], log_prior, kd)
+        want = _per_batch_chain(logits[idx], labels[idx], log_prior, None if teacher is None else teacher[idx])
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        if distill:
+            assert got[2].tobytes() == want[2].tobytes()
+        else:
+            assert got[2] is None and want[2] is None

@@ -8,7 +8,7 @@ import pytest
 
 from fedpsd import engine, nn, psd
 from fedpsd.config import ExperimentConfig
-from fedpsd.data import class_prior, synth_generate
+from fedpsd.data import RowView, class_prior, synth_generate
 from fedpsd.nn import (
     ContractViolation,
     finite_diff_check,
@@ -148,6 +148,15 @@ class TestCalibratedCE:
                 model, x, lambda lg: calibrated_ce_loss(lg, labels, prior)
             )
             assert err < 1e-4
+
+    def test_empty_batch_rejected(self):
+        prior = np.full(3, 1.0 / 3)
+        empty, no_labels = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+        with pytest.raises(ContractViolation, match="non-empty"):
+            calibrated_ce_loss(empty, no_labels, prior)
+        for teacher in (None, np.zeros((0, 3))):
+            with pytest.raises(ContractViolation, match="non-empty"):
+                psd.local_loss(empty, no_labels, np.log(prior), teacher)
 
     def test_nan_prior_rejected(self):
         with pytest.raises(ContractViolation):
@@ -396,6 +405,31 @@ class TestLocalTrainer:
             return float(np.mean(losses[:batches]))
 
         assert first_epoch_mean(warm) <= first_epoch_mean(cold)
+
+    @pytest.mark.parametrize("case", ["wide", "narrow", "short", "long", "one_dimensional"])
+    def test_malformed_local_set_rejected_before_training(self, case):
+        # Checked once per call, so no batch meets a raw numpy shape or
+        # index error: the per-batch loss runs unchecked.
+        ds, prior = _client_data()
+        model = init_model([8, 6, 4], seed=3)
+        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, epochs=2, batch_size=32, seed=0)
+        features = {
+            "wide": np.hstack([ds.features, ds.features[:, :1]]),
+            "narrow": ds.features[:, :-1],
+            "short": ds.features[:-1],
+            "long": np.vstack([ds.features, ds.features[:1]]),
+            "one_dimensional": ds.features[:, 0],
+        }[case]
+        with pytest.raises(ContractViolation, match="client 7 features"):
+            local_train_fedpsd(model, features, ds.labels, prior, None, 7, 1, 0.05, cfg)
+
+    def test_malformed_row_view_rejected_before_training(self):
+        ds, prior = _client_data()
+        model = init_model([8, 6, 4], seed=3)
+        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, seed=0)
+        view = RowView(ds, np.arange(ds.num_samples - 1))
+        with pytest.raises(ContractViolation, match=r"client 2 features of shape \(119, 8\)"):
+            local_train_fedpsd(model, view, ds.labels, prior, None, 2, 1, 0.05, cfg)
 
     def test_non_finite_loss_reports_context(self):
         ds, prior = _client_data()
