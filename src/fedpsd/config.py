@@ -65,8 +65,9 @@ def _choice(*options: str):
 
 
 def _parse_hidden(raw: str) -> tuple[int, ...]:
-    sizes = tuple(int(part) for part in raw.split(",") if part.strip())
-    if not sizes or any(s < 1 for s in sizes):
+    # An empty entry, as in "64,,32" or "", reads as size 0 and is refused.
+    sizes = tuple(int(part) if part.strip() else 0 for part in raw.split(","))
+    if any(s < 1 for s in sizes):
         raise ValueError(f"expected comma-separated sizes >= 1, got {raw!r}")
     return sizes
 

@@ -11,7 +11,8 @@ clients train on the server's ``WorkerPool`` of min(workers, ceil(C*K),
 usable cpus) workers: with one, in the calling process; with more, in
 forked worker processes (POSIX ``fork`` only), forked when the first
 round trains and reaped when the run ends. Either way each client
-yields the same ``ModelParams``, history, losses and accuracy.
+yields the same ``ModelParams``, history, losses and accuracy; its
+trainer derives the round's lr and the client's class prior itself.
 ``run_ablation`` runs the four FedPSD component rows of one config.
 """
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .data import (
     LabeledDataset,
     RowView,
     class_pools,
-    class_prior,
     client_test_split,
     load_idx_files,
     partition_dirichlet,
@@ -73,7 +73,6 @@ class ServerState:
 class ClientState:
     client_id: int
     partition: ClientPartition
-    prior: np.ndarray | None  # None unless fedpsd with cll, its one reader
     history: np.ndarray | None = None
     # Local-test accuracy of the model the client trained when it was
     # last sampled; None until then.
@@ -136,20 +135,12 @@ def aggregate(updates: list[tuple[ModelParams, int]], client_ids: list[int] | No
     return out
 
 
-def lr_schedule(base_lr: float, round_t: int, decay: float = 0.99) -> float:
-    """Per-round exponential decay: base_lr * decay ** t."""
-    if round_t < 0:
-        raise ContractViolation(f"round must be >= 0, got {round_t}")
-    return base_lr * decay**round_t
-
-
 def _train_one(
     global_params: ModelParams,
     round_t: int,
     client: ClientState,
     history: np.ndarray | None,
     train: LabeledDataset,
-    lr: float,
     cfg: ExperimentConfig,
 ) -> tuple[ModelParams, np.ndarray | None, list[float]]:
     """Train ``client`` from ``global_params``. The trainer reads the
@@ -158,8 +149,8 @@ def _train_one(
     ``train.rows(idx)`` to the bit."""
     idx = client.partition.train_indices
     return local_train_fedpsd(
-        global_params, RowView(train, idx), train.labels[idx], client.prior,
-        history, client.client_id, round_t, lr, cfg,
+        global_params, RowView(train, idx), train.labels[idx],
+        history, client.client_id, round_t, cfg,
     )
 
 
@@ -190,14 +181,16 @@ class WorkerPool:
     At ``size`` 1 they train in the calling process, with no fork, pipe
     or pickle. Above it, ``size`` worker processes (POSIX ``fork`` only)
     are forked on the first ``train`` call, from the process that holds
-    the train and test sets and every client's partition and prior, so
-    none of that is sent; the calling process trains no client. Each
-    round a worker receives the global ``ModelParams``, the round, the
-    lr and the id and history (or None) of every size-th sampled client
-    (all clients of a run have the same n_k, so dealing in turn balances
-    the work), and replies with each one's ``ClientResult``. Both ends
-    of each pipe are this module's, so the pickles read are only ones
-    it wrote. ``close`` reaps the workers.
+    the train and test sets and every client's partition, so none of
+    that is sent; the calling process trains no client. Each round a
+    worker receives the global ``ModelParams``, the round and the id and
+    history (or None) of every size-th sampled client (all clients of a
+    run have the same n_k, so dealing in turn balances the work), and
+    replies with each one's ``ClientResult`` or with the exception that
+    stopped it; all replies are read before the first exception is
+    raised, so none is left for the next round. Both ends of each pipe
+    are this module's, so the pickles read are only ones it wrote.
+    ``close`` reaps the workers.
     """
 
     def __init__(
@@ -242,16 +235,14 @@ class WorkerPool:
             os.close(replies_w)
             self._workers.append((pid, open(requests_w, "wb"), open(replies_r, "rb")))
 
-    def _train(
-        self, global_params: ModelParams, round_t: int, lr: float, jobs
-    ) -> list[ClientResult]:
+    def _train(self, global_params: ModelParams, round_t: int, jobs) -> list[ClientResult]:
         """Train each ``(client id, history)`` job from ``global_params``."""
         train, test, clients, cfg = self._state
         results = []
         for cid, history in jobs:
             client = clients[cid]
             params, new_history, losses = _train_one(
-                global_params, round_t, client, history, train, lr, cfg
+                global_params, round_t, client, history, train, cfg
             )
             results.append((params, new_history, losses, _local_accuracy(params, client, test)))
         return results
@@ -274,29 +265,31 @@ class WorkerPool:
                 replies.flush()
 
     def train(
-        self, global_params: ModelParams, round_t: int, lr: float, sampled: list[ClientState]
+        self, global_params: ModelParams, round_t: int, sampled: list[ClientState]
     ) -> list[ClientResult]:
         """Train ``sampled`` from ``global_params``; results in ``sampled`` order."""
         jobs = [(client.client_id, client.history) for client in sampled]
         if self.size == 1:
-            return self._train(global_params, round_t, lr, jobs)
+            return self._train(global_params, round_t, jobs)
         if not self._workers:
             self._fork()
         for w, (pid, requests, _) in enumerate(self._workers):
             try:
-                request = (global_params, round_t, lr, jobs[w :: self.size])
+                request = (global_params, round_t, jobs[w :: self.size])
                 pickle.dump(request, requests, pickle.HIGHEST_PROTOCOL)
                 requests.flush()
             except BrokenPipeError:
                 raise ChildProcessError(f"worker process {pid} has exited") from None
-        results: list = [None] * len(sampled)
-        for w, (pid, _, replies) in enumerate(self._workers):
+        received = []
+        for pid, _, replies in self._workers:
             try:
-                reply = pickle.load(replies)
+                received.append(pickle.load(replies))
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(
                     f"worker process {pid} exited before it returned its clients"
                 ) from None
+        results: list = [None] * len(sampled)
+        for w, reply in enumerate(received):
             if isinstance(reply, Exception):
                 raise reply
             results[w :: self.size] = reply
@@ -327,8 +320,7 @@ def run_round(
     The sampled clients train on ``server.workers``."""
     t = server.round
     sampled = sample_clients(cfg.num_clients, cfg.fraction, t, cfg.seed)
-    lr = lr_schedule(cfg.base_lr, t, cfg.lr_decay)
-    results = server.workers.train(server.global_params, t, lr, [clients[cid] for cid in sampled])
+    results = server.workers.train(server.global_params, t, [clients[cid] for cid in sampled])
 
     accuracies: list[float] = []
     traces: list[list[float]] = []
@@ -412,7 +404,7 @@ def build_federation(
     train: LabeledDataset,
     test: LabeledDataset,
 ) -> tuple[ServerState, dict[int, ClientState]]:
-    """Partition the data, assign test splits and priors, init the model,
+    """Partition the data, assign test splits, init the model,
     and give the server a ``WorkerPool`` of ``worker_count(cfg)``; a caller
     that runs rounds on a ``workers`` > 1 config must close ``server.workers``."""
     if cfg.partition == "sharding":
@@ -423,12 +415,7 @@ def build_federation(
     clients: dict[int, ClientState] = {}
     for part in partitions:
         part.test_indices = client_test_split(test_pools, part, train, cfg.seed, cfg.test_budget)
-        prior = None
-        if cfg.algorithm == "fedpsd" and cfg.cll:
-            prior = class_prior(
-                train.labels[part.train_indices], train.num_classes, cfg.prior_epsilon
-            )
-        clients[part.client_id] = ClientState(part.client_id, part, prior)
+        clients[part.client_id] = ClientState(part.client_id, part)
     layer_sizes = [train.dim, *cfg.hidden, train.num_classes]
     pool = WorkerPool(worker_count(cfg), train, test, clients, cfg)
     return ServerState(init_model(layer_sizes, cfg.seed), 0, pool), clients

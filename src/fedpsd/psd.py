@@ -22,6 +22,7 @@ import warnings
 import numpy as np
 
 from .config import LOCAL_SHUFFLE_STREAM, ExperimentConfig
+from .data import class_prior
 from .nn import (
     ContractViolation,
     ModelParams,
@@ -36,7 +37,6 @@ from .nn import (
     row_blocks,
     sgd_step,
     softmax,
-    softmax_ce,
 )
 
 
@@ -68,6 +68,13 @@ def alpha_schedule(round_t: int, t_total: int) -> float:
     return round_t / t_total
 
 
+def lr_schedule(base_lr: float, round_t: int, decay: float = 0.99) -> float:
+    """Per-round exponential decay: base_lr * decay ** t."""
+    if round_t < 0:
+        raise ContractViolation(f"round must be >= 0, got {round_t}")
+    return base_lr * decay**round_t
+
+
 def fuse_labels(teacher: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndarray:
     """Convex combination alpha * teacher + (1 - alpha) * truth.
 
@@ -90,10 +97,14 @@ def fuse_labels(teacher: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndar
     return alpha * teacher + (1.0 - alpha) * truth
 
 
-def _prior_probs(prior) -> np.ndarray:
+def _prior_probs(prior, logits: np.ndarray) -> np.ndarray:
+    """``prior`` as float64; raises unless it is a strictly positive
+    vector with one entry per class (the last axis) of ``logits``."""
     probs = np.asarray(prior, dtype=np.float64)
     if probs.ndim != 1 or probs.size == 0 or not (probs > 0.0).all():
         raise ContractViolation("prior must be a strictly positive vector; smooth it first")
+    if probs.shape != logits.shape[-1:]:
+        raise ContractViolation(f"prior of length {probs.size} does not match logits {logits.shape}")
     return probs
 
 
@@ -155,10 +166,8 @@ def local_loss(
     checks this runs on every call (non-empty logits, integer labels in
     range) and with the teacher's entropy computed once per epoch.
     """
-    if teacher is None:
-        return *softmax_ce(logits if log_prior is None else logits + log_prior, labels), None
     logits, labels = _ce_inputs(logits, labels)
-    kd = (teacher, _neg_entropy(teacher))
+    kd = None if teacher is None else (teacher, _neg_entropy(teacher))
     return _batch_loss(logits, labels, np.arange(logits.shape[0]), log_prior, kd)
 
 
@@ -170,8 +179,8 @@ def calibrated_ce_loss(logits: np.ndarray, labels, prior) -> tuple[float, np.nda
     gradient is softmax(f + ln P) - onehot, batch-meaned. Accepts a
     single logit vector or a (B, L) batch.
     """
-    log_prior = np.log(_prior_probs(prior))
     logits = np.asarray(logits, dtype=np.float64)
+    log_prior = np.log(_prior_probs(prior, logits))
     single = logits.ndim == 1
     batch = logits[None, :] if single else logits
     loss, dlogits, _ = local_loss(batch, np.atleast_1d(np.asarray(labels)), log_prior)
@@ -183,8 +192,8 @@ def balanced_prediction(logits: np.ndarray, prior):
 
     Equivalent to ranking classes by softmax(f)[y] / P(y).
     """
-    probs = _prior_probs(prior)
     logits = np.asarray(logits, dtype=np.float64)
+    probs = _prior_probs(prior, logits)
     adjusted = logits - np.log(probs)
     if logits.ndim == 1:
         return int(np.argmax(adjusted))
@@ -229,21 +238,20 @@ def local_train_fedpsd(
     global_params: ModelParams,
     features: np.ndarray,
     labels: np.ndarray,
-    prior: np.ndarray | None,
     history: np.ndarray | None,
     client_id: int,
     round_t: int,
-    lr: float,
     cfg: ExperimentConfig,
 ) -> tuple[ModelParams, np.ndarray | None, list[float]]:
     """One client's local update for ``cfg.algorithm``: E epochs of SGD.
 
     fedavg minimises cross-entropy and fedprox adds the proximal pull
     toward ``global_params``. fedpsd calibrates the cross-entropy with
-    ``prior`` (cll, its one reader), distills epoch 1 toward the fused
-    history teacher (rhpk) when the client has one, and distills later
-    epochs toward the fused outputs cached during the previous epoch
-    (psd).
+    the ``class_prior`` of ``labels`` (cll, its one reader), distills
+    epoch 1 toward the fused history teacher (rhpk) when the client has
+    one, and distills later epochs toward the fused outputs cached
+    during the previous epoch (psd). The lr and alpha are the round's
+    ``lr_schedule`` and ``alpha_schedule``, as ``cfg`` sets them.
 
     ``features`` is the (n_k, d) float64 local set, or anything of that
     ``shape`` whose ``[idx]`` gives those rows, such as a
@@ -274,11 +282,14 @@ def local_train_fedpsd(
     alpha = alpha_schedule(round_t, cfg.t_total) if fedpsd else 0.0
     params = global_params.copy()
     grads = params.zeros_like()  # reused by every step's backprop
+    lr = lr_schedule(cfg.base_lr, round_t, cfg.lr_decay)
     opt = init_optimizer(params, lr, cfg.momentum, cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, LOCAL_SHUFFLE_STREAM, round_t, client_id])
 
     onehots = one_hot(labels, num_classes)
-    log_prior = np.log(_prior_probs(prior)) if fedpsd and cfg.cll else None
+    log_prior = None
+    if fedpsd and cfg.cll:
+        log_prior = np.log(class_prior(labels, num_classes, cfg.prior_epsilon))
     if history is not None and np.shape(history) != (n, num_classes):
         raise ContractViolation(
             f"client {client_id} history shape {np.shape(history)} does not match "

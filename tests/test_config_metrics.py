@@ -41,6 +41,16 @@ class TestParseConfig:
         assert cfg.algorithm == "fedpsd"
         assert cfg.hidden == (64, 32)
 
+    @pytest.mark.parametrize("sizes", ["64,,32", "64,", ",64", " , "])
+    def test_hidden_with_an_empty_entry_rejected_with_line(self, sizes):
+        with pytest.raises(
+            ConfigError, match="line 2: invalid value for 'hidden': expected comma-separated sizes"
+        ):
+            parse_config(f"K = 10\nhidden = {sizes}\n")
+
+    def test_hidden_entries_may_have_spaces_around_them(self):
+        assert parse_config("hidden = 64 , 32\n").hidden == (64, 32)
+
     def test_comments_and_sections(self):
         text = """
         # top comment

@@ -14,14 +14,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedpsd import engine
+from fedpsd import engine, psd
 from fedpsd.config import LOCAL_SHUFFLE_STREAM, ExperimentConfig
-from fedpsd.data import LabeledDataset, class_prior, save_idx, synth_generate
+from fedpsd.data import LabeledDataset, save_idx, synth_generate
 from fedpsd.engine import (
     _load_dataset_pair,
     aggregate,
     build_federation,
-    lr_schedule,
     run_experiment,
     run_round,
     sample_clients,
@@ -35,7 +34,7 @@ from fedpsd.nn import (
     softmax,
     top1_accuracy,
 )
-from fedpsd.psd import local_train_fedpsd
+from fedpsd.psd import local_train_fedpsd, lr_schedule
 
 
 class TestSampleClients:
@@ -131,15 +130,16 @@ def _one_client(seed=0, classes=2, per_class=40, spread=0.1):
     return ds
 
 
-def _reference_local_update(model, features, labels, client_id, round_t, lr, cfg, prior=None, history=None):
+def _reference_local_update(model, features, labels, client_id, round_t, cfg, history=None):
     """The local update written out step by step from its equations: an
     oracle for the trainer that shares none of its code.
 
-    Every algorithm runs mini-batch SGD with classical momentum on the
-    batch-mean cross-entropy; FedProx adds (mu/2) ||w - w_global||^2.
-    FedPSD, with alpha = t / t_total:
+    Every algorithm runs mini-batch SGD with classical momentum, at
+    lr = base_lr * lr_decay^t, on the batch-mean cross-entropy; FedProx
+    adds (mu/2) ||w - w_global||^2. FedPSD, with alpha = t / t_total:
 
-    - cll: the cross-entropy sees the prior-shifted logits f + ln P;
+    - cll: the cross-entropy sees the prior-shifted logits f + ln P,
+      P(y) = (count_y + eps) / (n_k + L * eps) over the client's labels;
     - rhpk: in epoch 1, once the client has a history, the teacher is
       alpha * history + (1 - alpha) * onehot; the new history is the
       trained model's softmax over the local set;
@@ -160,7 +160,10 @@ def _reference_local_update(model, features, labels, client_id, round_t, lr, cfg
     fedpsd = cfg.algorithm == "fedpsd"
     mu = cfg.prox_mu if cfg.algorithm == "fedprox" else None
     alpha = round_t / cfg.t_total
-    onehot = np.zeros((n, model.num_classes))
+    lr = cfg.base_lr * cfg.lr_decay**round_t
+    eps, num_classes = cfg.prior_epsilon, model.num_classes
+    prior = (np.bincount(labels, minlength=num_classes) + eps) / (n + num_classes * eps)
+    onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), labels] = 1.0
 
     def log_softmax(z):
@@ -230,11 +233,12 @@ def _reference_local_update(model, features, labels, client_id, round_t, lr, cfg
 
 
 class TestLocalBaseline:
-    def test_lr_zero_returns_global(self):
+    def test_lr_zero_returns_global(self, monkeypatch):
         ds = _one_client()
         model = init_model([8, 6, 2], seed=0)
         cfg = ExperimentConfig(epochs=2, batch_size=16, seed=0)
-        params, history, _ = local_train_fedpsd(model, ds.features, ds.labels, None, None, 0, 0, 0.0, cfg)
+        monkeypatch.setattr(psd, "lr_schedule", lambda *args: 0.0)
+        params, history, _ = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 0, cfg)
         assert history is None
         for a, b in zip(params.arrays(), model.arrays()):
             assert np.array_equal(a, b)
@@ -244,11 +248,13 @@ class TestLocalBaseline:
         # The trainer updates its parameters in place, so it must start
         # from a copy; the global model is shared by every client.
         ds = synth_generate(4, 8, 30, seed=5, spread=0.3)
-        prior = class_prior(ds.labels, 4, epsilon=1.0)
         model = init_model([8, 6, 4], seed=5)
         before = model.flat.tobytes()
-        cfg = ExperimentConfig(algorithm=algorithm, prox_mu=0.5, epochs=2, batch_size=16, seed=1)
-        params, _, _ = local_train_fedpsd(model, ds.features, ds.labels, prior, None, 0, 1, 0.05, cfg)
+        cfg = ExperimentConfig(
+            algorithm=algorithm, prox_mu=0.5, epochs=2, batch_size=16, seed=1,
+            base_lr=0.05, lr_decay=1.0,
+        )
+        params, _, _ = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 1, cfg)
         assert model.flat.tobytes() == before
         assert not np.shares_memory(params.flat, model.flat)
 
@@ -257,12 +263,16 @@ class TestLocalBaseline:
         model = init_model([8, 6, 2], seed=1)
         # mu large but stable: lr * mu must stay below 2 or the proximal
         # pull itself oscillates and diverges.
-        avg_cfg = ExperimentConfig(algorithm="fedavg", epochs=3, batch_size=16, seed=2, momentum=0.0)
-        prox_cfg = ExperimentConfig(
-            algorithm="fedprox", prox_mu=10.0, epochs=3, batch_size=16, seed=2, momentum=0.0
+        fixed_lr = dict(base_lr=0.05, lr_decay=1.0)
+        avg_cfg = ExperimentConfig(
+            algorithm="fedavg", epochs=3, batch_size=16, seed=2, momentum=0.0, **fixed_lr
         )
-        p_avg, _, _ = local_train_fedpsd(model, ds.features, ds.labels, None, None, 0, 0, 0.05, avg_cfg)
-        p_prox, _, _ = local_train_fedpsd(model, ds.features, ds.labels, None, None, 0, 0, 0.05, prox_cfg)
+        prox_cfg = ExperimentConfig(
+            algorithm="fedprox", prox_mu=10.0, epochs=3, batch_size=16, seed=2, momentum=0.0,
+            **fixed_lr,
+        )
+        p_avg, _, _ = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 0, avg_cfg)
+        p_prox, _, _ = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 0, prox_cfg)
 
         def dist(p):
             return sum(float(((a - b) ** 2).sum()) for a, b in zip(p.arrays(), model.arrays()))
@@ -272,8 +282,8 @@ class TestLocalBaseline:
     def test_separable_client_converges(self):
         ds = _one_client(seed=3)
         model = init_model([8, 6, 2], seed=3)
-        cfg = ExperimentConfig(epochs=20, batch_size=16, seed=0)
-        params, _, losses = local_train_fedpsd(model, ds.features, ds.labels, None, None, 0, 0, 0.05, cfg)
+        cfg = ExperimentConfig(epochs=20, batch_size=16, seed=0, base_lr=0.05, lr_decay=1.0)
+        params, _, losses = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 0, cfg)
         acc = top1_accuracy(forward(params, ds.features), ds.labels)
         assert acc >= 0.95
         assert losses[-1] < losses[0]
@@ -281,17 +291,14 @@ class TestLocalBaseline:
     @staticmethod
     def _assert_matches_reference(**overrides):
         ds = synth_generate(4, 8, 30, seed=5, spread=0.3)
-        prior = class_prior(ds.labels, 4, epsilon=1.0)
         model = init_model([8, 6, 5, 4], seed=5)
         cfg = ExperimentConfig(
             epochs=3, batch_size=16, seed=11, t_total=10, momentum=0.9, weight_decay=1e-3,
-            **overrides,
+            base_lr=0.04, lr_decay=1.0, **overrides,
         )
-        params, history, losses = local_train_fedpsd(
-            model, ds.features, ds.labels, prior, None, 3, 2, 0.04, cfg
-        )
+        params, history, losses = local_train_fedpsd(model, ds.features, ds.labels, None, 3, 2, cfg)
         want_params, want_losses, _ = _reference_local_update(
-            model, ds.features, ds.labels, 3, 2, 0.04, cfg
+            model, ds.features, ds.labels, 3, 2, cfg
         )
         assert losses == want_losses
         assert len(params.arrays()) == len(want_params)
@@ -366,12 +373,10 @@ class TestFedPSDReference:
             global_params = server.global_params
             before = {cid: client.history for cid, client in clients.items()}
             report = run_round(server, clients, train, test, cfg)
-            lr = lr_schedule(cfg.base_lr, t, cfg.lr_decay)
             for cid, (params, _), losses in zip(report.sampled, aggregated[-1], report.loss_traces):
                 idx = clients[cid].partition.train_indices
                 want_params, want_losses, want_history = _reference_local_update(
-                    global_params, train.rows(idx), train.labels[idx], cid, t, lr, cfg,
-                    clients[cid].prior, before[cid],
+                    global_params, train.rows(idx), train.labels[idx], cid, t, cfg, before[cid],
                 )
                 assert losses == want_losses, (t, cid)
                 for got, want in zip(params.arrays(), want_params, strict=True):
@@ -547,6 +552,42 @@ class TestWorkers:
             run_experiment(_small_cfg(workers=2, base_lr=1e200))
         assert len(worker_log.forks) == 2
         assert worker_log.trained == []  # raised where the clients trained
+
+    def test_pool_stays_in_step_after_a_worker_error(self, worker_log):
+        # Client 0, dealt to worker 0, brings a malformed history, so
+        # worker 0 replies with an error while worker 1 trains clients 1
+        # and 3. The next call must get its own results from both workers,
+        # not worker 1's reply to the failed call.
+        cfg = _small_cfg(num_clients=4, fraction=1.0, algorithm="fedpsd", workers=2)
+        train, test, server, clients = _federation(cfg)
+        sampled = [clients[cid] for cid in range(4)]
+        pool = server.workers
+        try:
+            clients[0].history = np.full((3, 4), 0.25)
+            with pytest.raises(ContractViolation, match="client 0 history shape"):
+                pool.train(server.global_params, 0, sampled)
+            clients[0].history = None
+            got = pool.train(server.global_params, 1, sampled)
+        finally:
+            pool.close()
+        assert len(worker_log.forks) == 2
+        want = engine.WorkerPool(1, train, test, clients, cfg).train(server.global_params, 1, sampled)
+        assert len(got) == len(want) == 4
+        for (params, history, losses, accuracy), expected in zip(got, want):
+            assert params.flat.tobytes() == expected[0].flat.tobytes()
+            assert history.tobytes() == expected[1].tobytes()
+            assert (losses, accuracy) == (expected[2], expected[3])
+
+    def test_unsmoothed_prior_error_is_relayed_from_a_worker(self, worker_log):
+        # Sharded clients miss classes, so the prior a client's trainer
+        # derives at prior_epsilon = 0 has a zero entry.
+        with pytest.raises(ContractViolation, match="prior has a zero entry"):
+            run_experiment(_small_cfg(algorithm="fedpsd", prior_epsilon=0.0, workers=2))
+        assert len(worker_log.forks) == 2
+        assert worker_log.trained == []  # raised where the clients trained
+        for pid in worker_log.forks:
+            with pytest.raises(ChildProcessError):  # reaped: no longer a child
+                os.waitpid(pid, os.WNOHANG)
 
     def test_worker_that_dies_mid_round_is_named(self, worker_log, monkeypatch):
         parent, real_train = os.getpid(), engine._train_one
@@ -756,16 +797,16 @@ class TestTrainOne:
         )
         cfg = _small_cfg(
             algorithm=algorithm, hidden=(32,), num_clients=2, shards_per_client=2,
-            fraction=1.0, t_total=4, epochs=2, batch_size=50,
+            fraction=1.0, t_total=4, epochs=2, batch_size=50, base_lr=0.05, lr_decay=1.0,
         )
         server, clients = build_federation(cfg, train, test)
         client = clients[1]
         idx = client.partition.train_indices
         history = np.full((idx.size, 10), 0.1) if algorithm == "fedpsd" else None
-        got = engine._train_one(server.global_params, 2, client, history, train, 0.05, cfg)
+        got = engine._train_one(server.global_params, 2, client, history, train, cfg)
         want = local_train_fedpsd(
-            server.global_params, train.rows(idx), train.labels[idx], client.prior,
-            history, client.client_id, 2, 0.05, cfg,
+            server.global_params, train.rows(idx), train.labels[idx],
+            history, client.client_id, 2, cfg,
         )
         assert got[0].flat.tobytes() == want[0].flat.tobytes()
         assert got[2] == want[2] and len(got[2]) == 12

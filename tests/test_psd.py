@@ -168,6 +168,18 @@ class TestCalibratedCE:
         with pytest.raises(ContractViolation):
             calibrated_ce_loss(np.array([0.0, 0.0]), 0, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("length", [1, 2, 4], ids=["one", "L-1", "L+1"])
+    @pytest.mark.parametrize("logits", [np.array([0.3, -1.2, 0.8]), np.array([[0.3, -1.2, 0.8]] * 2)])
+    def test_prior_of_the_wrong_length_rejected(self, length, logits):
+        # A one-entry prior would broadcast into a uniform shift: plain CE
+        # and the plain argmax, with no error.
+        prior = np.full(length, 1.0 / length)
+        labels = np.zeros(logits.shape[:-1], dtype=np.int64)
+        with pytest.raises(ContractViolation, match=f"prior of length {length} does not match"):
+            calibrated_ce_loss(logits, labels, prior)
+        with pytest.raises(ContractViolation, match=f"prior of length {length} does not match"):
+            balanced_prediction(logits, prior)
+
 
 class TestBalancedPrediction:
     def test_uniform_prior_is_plain_argmax(self):
@@ -301,22 +313,20 @@ class TestKDLoss:
 
 
 def _client_data(seed=0, classes=4, dim=8, per_class=30, spread=0.3):
-    ds = synth_generate(classes, dim, per_class, seed=seed, spread=spread)
-    prior = class_prior(ds.labels, classes, epsilon=1.0)
-    return ds, prior
+    return synth_generate(classes, dim, per_class, seed=seed, spread=spread)
 
 
 class TestLocalTrainer:
     def test_first_round_rhpk_equals_cll_only(self):
         # Without history the first-epoch distillation term vanishes, so a
         # single-epoch run with all flags on matches calibrated-CE-only SGD.
-        ds, prior = _client_data()
+        ds = _client_data()
         model = init_model([8, 6, 4], seed=0)
-        base = dict(t_total=10, epochs=1, batch_size=16, seed=5)
+        base = dict(t_total=10, epochs=1, batch_size=16, seed=5, base_lr=0.05, lr_decay=1.0)
         cfg_full = ExperimentConfig(**base, algorithm="fedpsd", rhpk=True, psd=True, cll=True)
         cfg_cll = ExperimentConfig(**base, algorithm="fedpsd", rhpk=False, psd=False, cll=True)
-        p1, h1, l1 = local_train_fedpsd(model, ds.features, ds.labels, prior, None, 0, 3, 0.05, cfg_full)
-        p2, h2, l2 = local_train_fedpsd(model, ds.features, ds.labels, prior, None, 0, 3, 0.05, cfg_cll)
+        p1, h1, l1 = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 3, cfg_full)
+        p2, h2, l2 = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 3, cfg_cll)
         assert l1 == l2
         for a, b in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
@@ -324,11 +334,14 @@ class TestLocalTrainer:
         assert np.array_equal(h1, softmax(forward(p2, ds.features)))
 
     def test_history_shape_and_round(self):
-        ds, prior = _client_data()
+        ds = _client_data()
         model = init_model([8, 6, 4], seed=1)
-        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, epochs=2, batch_size=32, seed=0)
+        cfg = ExperimentConfig(
+            algorithm="fedpsd", t_total=10, epochs=2, batch_size=32, seed=0, base_lr=0.05,
+            lr_decay=1.0,
+        )
         params, hist, losses = local_train_fedpsd(
-            model, ds.features, ds.labels, prior, None, 0, 4, 0.05, cfg
+            model, ds.features, ds.labels, None, 0, 4, cfg
         )
         assert hist.shape == (ds.num_samples, 4)
         assert np.abs(hist.sum(axis=1) - 1.0).max() < 1e-9
@@ -337,20 +350,22 @@ class TestLocalTrainer:
         assert len(losses) == 2 * math.ceil(ds.num_samples / 32)
 
     def test_mismatched_history_rejected(self):
-        ds, prior = _client_data()
+        ds = _client_data()
         model = init_model([8, 6, 4], seed=1)
-        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, seed=0)
+        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, seed=0, base_lr=0.05, lr_decay=1.0)
         bad = np.full((3, 4), 0.25)
         with pytest.raises(ContractViolation, match="history"):
-            local_train_fedpsd(model, ds.features, ds.labels, prior, bad, 0, 1, 0.05, cfg)
+            local_train_fedpsd(model, ds.features, ds.labels, bad, 0, 1, cfg)
 
     @pytest.mark.parametrize(
         "case", ["not_normalised", "negative", "nan_row", "empty", "one_dimensional"]
     )
     def test_malformed_history_rejected_under_rhpk(self, case):
-        ds, prior = _client_data()
+        ds = _client_data()
         model = init_model([8, 6, 4], seed=1)
-        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, seed=0, rhpk=True)
+        cfg = ExperimentConfig(
+            algorithm="fedpsd", t_total=10, seed=0, rhpk=True, base_lr=0.05, lr_decay=1.0
+        )
         n = ds.num_samples
         history = np.full((n, 4), 0.25)
         if case == "not_normalised":
@@ -364,24 +379,27 @@ class TestLocalTrainer:
         else:
             history = history.ravel()
         with pytest.raises(ContractViolation):
-            local_train_fedpsd(model, ds.features, ds.labels, prior, history, 0, 1, 0.05, cfg)
+            local_train_fedpsd(model, ds.features, ds.labels, history, 0, 1, cfg)
 
     def test_history_pass_runs_only_under_rhpk(self, monkeypatch):
         # The post-training forward over the local set builds the history,
         # which only rhpk reads; without rhpk nothing may pay for it.
-        ds, prior = _client_data()
+        ds = _client_data()
         model = init_model([8, 6, 4], seed=1)
-        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, epochs=1, batch_size=32, seed=0)
+        cfg = ExperimentConfig(
+            algorithm="fedpsd", t_total=10, epochs=1, batch_size=32, seed=0, base_lr=0.05,
+            lr_decay=1.0,
+        )
 
         def history_pass(*args):
             raise AssertionError("history pass ran")
 
         monkeypatch.setattr(psd, "forward", history_pass)
         off = dataclasses.replace(cfg, rhpk=False)
-        _, history, _ = local_train_fedpsd(model, ds.features, ds.labels, prior, None, 0, 1, 0.05, off)
+        _, history, _ = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 1, off)
         assert history is None
         with pytest.raises(AssertionError, match="history pass"):
-            local_train_fedpsd(model, ds.features, ds.labels, prior, None, 0, 1, 0.05, cfg)
+            local_train_fedpsd(model, ds.features, ds.labels, None, 0, 1, cfg)
 
     def test_warm_history_teacher_lowers_first_epoch_loss(self):
         # Paired round-1 runs from one round-0 model that differ only in
@@ -389,19 +407,19 @@ class TestLocalTrainer:
         # history, which fuses to the one-hot labels. The soft target sits
         # nearer the model's own outputs, so its version of the
         # first-epoch objective is cheaper.
-        ds, prior = _client_data(seed=3, per_class=40)
+        ds = _client_data(seed=3, per_class=40)
         cfg = ExperimentConfig(
             algorithm="fedpsd", t_total=2, epochs=3, batch_size=20, seed=9,
-            rhpk=True, psd=True, cll=True,
+            rhpk=True, psd=True, cll=True, base_lr=0.05, lr_decay=1.0,
         )
         model = init_model([8, 6, 4], seed=2)
         batches = math.ceil(ds.num_samples / 20)
         # round 0: shared by both arms (no history yet)
-        p, warm, _ = local_train_fedpsd(model, ds.features, ds.labels, prior, None, 0, 0, 0.05, cfg)
+        p, warm, _ = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 0, cfg)
         cold = one_hot(ds.labels, 4)
 
         def first_epoch_mean(hist):
-            _, _, losses = local_train_fedpsd(p, ds.features, ds.labels, prior, hist, 0, 1, 0.05, cfg)
+            _, _, losses = local_train_fedpsd(p, ds.features, ds.labels, hist, 0, 1, cfg)
             return float(np.mean(losses[:batches]))
 
         assert first_epoch_mean(warm) <= first_epoch_mean(cold)
@@ -410,9 +428,12 @@ class TestLocalTrainer:
     def test_malformed_local_set_rejected_before_training(self, case):
         # Checked once per call, so no batch meets a raw numpy shape or
         # index error: the per-batch loss runs unchecked.
-        ds, prior = _client_data()
+        ds = _client_data()
         model = init_model([8, 6, 4], seed=3)
-        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, epochs=2, batch_size=32, seed=0)
+        cfg = ExperimentConfig(
+            algorithm="fedpsd", t_total=10, epochs=2, batch_size=32, seed=0, base_lr=0.05,
+            lr_decay=1.0,
+        )
         features = {
             "wide": np.hstack([ds.features, ds.features[:, :1]]),
             "narrow": ds.features[:, :-1],
@@ -421,24 +442,27 @@ class TestLocalTrainer:
             "one_dimensional": ds.features[:, 0],
         }[case]
         with pytest.raises(ContractViolation, match="client 7 features"):
-            local_train_fedpsd(model, features, ds.labels, prior, None, 7, 1, 0.05, cfg)
+            local_train_fedpsd(model, features, ds.labels, None, 7, 1, cfg)
 
     def test_malformed_row_view_rejected_before_training(self):
-        ds, prior = _client_data()
+        ds = _client_data()
         model = init_model([8, 6, 4], seed=3)
-        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, seed=0)
+        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, seed=0, base_lr=0.05, lr_decay=1.0)
         view = RowView(ds, np.arange(ds.num_samples - 1))
         with pytest.raises(ContractViolation, match=r"client 2 features of shape \(119, 8\)"):
-            local_train_fedpsd(model, view, ds.labels, prior, None, 2, 1, 0.05, cfg)
+            local_train_fedpsd(model, view, ds.labels, None, 2, 1, cfg)
 
     def test_non_finite_loss_reports_context(self):
-        ds, prior = _client_data()
+        ds = _client_data()
         model = init_model([8, 6, 4], seed=3)
-        cfg = ExperimentConfig(algorithm="fedpsd", t_total=10, epochs=2, batch_size=32, seed=0)
+        cfg = ExperimentConfig(
+            algorithm="fedpsd", t_total=10, epochs=2, batch_size=32, seed=0, base_lr=0.05,
+            lr_decay=1.0,
+        )
         poisoned = ds.features.copy()
         poisoned[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match=r"round 1, client 7, epoch 1"):
-            local_train_fedpsd(model, poisoned, ds.labels, prior, None, 7, 1, 0.05, cfg)
+            local_train_fedpsd(model, poisoned, ds.labels, None, 7, 1, cfg)
 
 
 class TestTracedNames:
@@ -447,7 +471,7 @@ class TestTracedNames:
         # nn functions the trainer looks up through psd's module globals;
         # a refactor that drops either hook breaks traced runs silently.
         assert "__post_init__" in vars(nn.ModelParams)
-        for name in ("sgd_step", "_forward_cached", "_backprop_from_acts", "softmax_ce"):
+        for name in ("sgd_step", "_forward_cached", "_backprop_from_acts"):
             assert vars(psd).get(name) is getattr(nn, name), name
 
     def test_traced_span_names_stay_bound(self):
