@@ -189,24 +189,20 @@ def backprop(model: ModelParams, batch: np.ndarray, dlogits: np.ndarray) -> Mode
     """
     batch = np.asarray(batch, dtype=np.float64)
     logits, acts = _forward_cached(model, batch)
-    return _backprop_from_acts(model, acts, np.asarray(dlogits, dtype=np.float64),
-                               expect_shape=logits.shape)
+    dlogits = np.asarray(dlogits, dtype=np.float64)
+    if dlogits.shape != logits.shape:
+        raise ContractViolation(
+            f"dlogits shape {dlogits.shape} does not match logits shape {logits.shape}"
+        )
+    return _backprop_from_acts(model, acts, dlogits, model.with_flat(np.empty_like(model.flat)))
 
 
 def _backprop_from_acts(
-    model: ModelParams,
-    acts: list[np.ndarray],
-    dlogits: np.ndarray,
-    expect_shape: tuple[int, ...],
-    out: ModelParams | None = None,
+    model: ModelParams, acts: list[np.ndarray], dlogits: np.ndarray, grads: ModelParams
 ) -> ModelParams:
-    """Gradients from cached activations, written into ``out`` when given
-    (a buffer laid out like ``model``, reused across steps)."""
-    if dlogits.shape != expect_shape:
-        raise ContractViolation(
-            f"dlogits shape {dlogits.shape} does not match logits shape {expect_shape}"
-        )
-    grads = model.with_flat(np.empty_like(model.flat)) if out is None else out
+    """Gradients from cached activations and (B, L) ``dlogits``, written
+    into ``grads`` (a buffer laid out like ``model``) and returned.
+    Unchecked."""
     delta = dlogits
     for i in range(model.num_layers - 1, -1, -1):
         a = acts[i]

@@ -258,9 +258,11 @@ def local_train_fedpsd(
     ``data.RowView``; it is read one batch, or one ``row_blocks`` block,
     at a time.
 
-    Inputs are checked once per call; each epoch's teacher and its
-    ``_neg_entropy`` are built once (the trainer's own cache unchecked);
-    per batch, only a non-finite loss or gradient stops the run.
+    Inputs, a history's rows included under rhpk, are checked once, at
+    entry. Both teachers, the epoch-1 history and the later cache, are
+    fused by one expression, alpha * source + (1 - alpha) * one-hot as in
+    ``fuse_labels``, with its ``_neg_entropy``, once per epoch; per batch,
+    only a non-finite loss or gradient stops the run.
 
     Under rhpk, the only reader, the new history is the trained model's
     (n_k, L) softmax over the full local set, computed in blocks that
@@ -295,16 +297,14 @@ def local_train_fedpsd(
             f"client {client_id} history shape {np.shape(history)} does not match "
             f"({n}, {num_classes}); partitions must stay fixed across rounds"
         )
+    history = _check_prob_rows(history, "history") if rhpk and history is not None else None
     cache = np.empty((n, num_classes)) if fedpsd and cfg.psd else None
     rows = np.arange(min(n, cfg.batch_size))
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        teacher = None
-        if epoch == 0 and rhpk and history is not None:
-            teacher = fuse_labels(history, onehots, alpha)
-        elif epoch > 0 and cache is not None:
-            teacher = alpha * cache + (1.0 - alpha) * onehots  # as fuse_labels fuses
+        source = history if epoch == 0 else cache
+        teacher = None if source is None else alpha * source + (1.0 - alpha) * onehots
         neg_entropy = None if teacher is None else _neg_entropy(teacher)
         # The cache written during this epoch feeds the next one.
         fill_cache = cache is not None and epoch < cfg.epochs - 1
@@ -316,13 +316,15 @@ def local_train_fedpsd(
             kd = None if teacher is None else (teacher[idx], neg_entropy[idx])
             loss, dlogits, probs = _batch_loss(logits, labels[idx], rows[: idx.size], log_prior, kd)
             if fill_cache:
+                # With a teacher this is the KD term's exp(log_softmax), else softmax:
+                # the two differ in the last bits, so one form would move bytes.
                 cache[idx] = softmax(logits) if probs is None else probs
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at round {round_t}, client {client_id}, "
                     f"epoch {epoch + 1}, batch {batch_no + 1}"
                 )
-            _backprop_from_acts(params, acts, dlogits, logits.shape, out=grads)
+            _backprop_from_acts(params, acts, dlogits, grads)
             if prox:
                 prox_loss, prox_grads = proximal_term(params, global_params, cfg.prox_mu)
                 loss = loss + prox_loss

@@ -223,6 +223,20 @@ class TestConstructionCheck:
             build(**{field: value})
 
 
+class TestSeedStreams:
+    def test_stream_tags_are_distinct(self):
+        # Each tag keys one consumer's draws from the experiment seed; two
+        # consumers sharing a tag would silently draw the same numbers.
+        tags = {
+            f"{module.__name__}.{name}": value
+            for module in (fedpsd.config, fedpsd.data, fedpsd.nn)
+            for name, value in vars(module).items()
+            if name.endswith("_STREAM") and isinstance(value, int)
+        }
+        assert len(tags) >= 9, sorted(tags)  # nn 1, data 6, config 2
+        assert len(set(tags.values())) == len(tags), tags
+
+
 def _series():
     rounds = [
         RoundRecord(1, 0.1, 0.2, 2.5, (0, 3)),

@@ -80,6 +80,12 @@ class TestIdx:
         with pytest.raises(IdxParseError, match="mismatch"):
             load_idx(images, labels)
 
+    def test_labels_payload_of_wrong_length(self):
+        images, labels = _idx_pair([[0, 0, 0, 0], [1, 1, 1, 1]], [0, 1])
+        for bad in (labels[:-1], labels + b"\x00"):
+            with pytest.raises(IdxParseError, match=f"labels payload ends at byte offset {len(bad)}"):
+                load_idx(images, bad)
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(0)
         ds = LabeledDataset(
@@ -118,6 +124,17 @@ class TestIdx:
         with pytest.raises(ContractViolation, match="uint8"):
             LabeledDataset(np.zeros((2, 2)), [0, 1], num_classes=2, pixels=True)
 
+    @pytest.mark.parametrize(
+        "values, labels, match",
+        [(np.zeros(2), [0, 1], "features must be"),
+         (np.zeros((0, 2)), [], "features must be"),
+         (np.zeros((2, 2)), [0, 1, 1], "labels length")],
+        ids=["one_dimensional", "empty", "label_count"],
+    )
+    def test_malformed_shapes_rejected(self, values, labels, match):
+        with pytest.raises(ContractViolation, match=match):
+            LabeledDataset(values, np.array(labels, dtype=np.int64), num_classes=2)
+
     @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, 1.0], [False, True]], ids=str)
     def test_non_integer_labels_rejected_not_truncated(self, labels):
         with pytest.raises(ContractViolation, match="integers"):
@@ -131,6 +148,11 @@ class TestIdx:
         ds = LabeledDataset(np.array([[1.5, 0.0]]), np.array([0]), num_classes=1)
         with pytest.raises(ContractViolation):
             save_idx(ds)
+
+    def test_save_rejects_image_shape_that_is_not_the_dim(self):
+        ds = LabeledDataset(np.zeros((2, 6)), np.array([0, 1]), num_classes=2)
+        with pytest.raises(ContractViolation, match="2x2 does not match feature dim 6"):
+            save_idx(ds, rows=2, cols=2)
 
     def test_save_rejects_nan_features(self):
         # NaN fails every comparison, so a min/max check would pass it and
@@ -286,6 +308,12 @@ class TestSharding:
         with pytest.raises(PartitionError):
             partition_sharding(ds, 4, 2, seed=0)
 
+    @pytest.mark.parametrize("shards, clients", [(0, 2), (2, 0), (-1, 2)])
+    def test_counts_below_one_rejected(self, shards, clients):
+        ds = synth_generate(2, 4, 10, seed=0, spread=0.2)
+        with pytest.raises(PartitionError, match=">= 1"):
+            partition_sharding(ds, shards, clients, seed=0)
+
 
 class TestDirichlet:
     def test_unique_nonempty_bounded(self):
@@ -377,6 +405,39 @@ class TestClientTestSplit:
             idx = client_test_split(class_pools(test), part, train, seed=0, budget=8)
         assert set(test.labels[idx]) == {0}
 
+    @pytest.mark.parametrize(
+        "train_labels, budget, counts",
+        [([0] * 99 + [1], 10, [9, 1, 0]), ([0, 1, 2], 2, [1, 1, 1])],
+        ids=["rare_class_funded_by_largest", "overshoot_past_budget"],
+    )
+    def test_each_present_class_gets_at_least_one_sample(self, train_labels, budget, counts):
+        # The second case has more present classes than budget, so the
+        # split overshoots the budget rather than drop a class.
+        train = LabeledDataset(
+            np.zeros((len(train_labels), 2)), np.array(train_labels), num_classes=3
+        )
+        test = LabeledDataset(np.zeros((60, 2)), np.repeat([0, 1, 2], 20), num_classes=3)
+        part = ClientPartition(0, np.arange(train.num_samples))
+        idx = client_test_split(class_pools(test), part, train, seed=0, budget=budget)
+        assert np.bincount(test.labels[idx], minlength=3).tolist() == counts
+
+    @pytest.mark.parametrize("case", ["zero_budget", "class_count", "no_test_class"])
+    def test_bad_inputs_rejected(self, case):
+        train = LabeledDataset(np.zeros((10, 3)), np.repeat([0, 1], 5), num_classes=3)
+        test = LabeledDataset(np.zeros((5, 3)), np.full(5, 2), num_classes=3)
+        pools, budget = class_pools(test), 8
+        part = ClientPartition(0, np.arange(10))
+        if case == "zero_budget":
+            error, match, budget = ContractViolation, "budget must be >= 1", 0
+        elif case == "class_count":
+            error, match, pools = ContractViolation, "test set has 2 classes", pools[:2]
+        else:
+            error, match = PartitionError, "no test samples available for any class of client 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the two absent classes
+            with pytest.raises(error, match=match):
+                client_test_split(pools, part, train, seed=0, budget=budget)
+
 
 class TestClassPrior:
     def test_unsmoothed_balanced(self):
@@ -402,6 +463,10 @@ class TestClassPrior:
             class_prior(np.array([0, 5]), 3)
         with pytest.raises(ContractViolation, match=r"\[0, 3\)"):
             class_prior(np.array([-1, 2]), 3)
+
+    def test_no_labels_rejected(self):
+        with pytest.raises(ContractViolation, match="at least one label"):
+            class_prior(np.array([], dtype=np.int64), 3)
 
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ContractViolation, match="integers"):

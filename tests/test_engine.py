@@ -111,6 +111,12 @@ class TestAggregate:
         with pytest.raises(ContractViolation):
             aggregate([])
 
+    @pytest.mark.parametrize("n_k", [0, -3])
+    def test_non_positive_count_names_client(self, n_k):
+        model = init_model([3, 4, 2], seed=0)
+        with pytest.raises(ContractViolation, match=f"client 9 reports non-positive sample count {n_k}"):
+            aggregate([(model, 10), (model, n_k)], client_ids=[4, 9])
+
 
 class TestLrSchedule:
     def test_values(self):

@@ -128,6 +128,20 @@ class TestModelParams:
                 [np.zeros(4), np.zeros(2)],
             )
 
+    @pytest.mark.parametrize(
+        "weights, biases, match",
+        [([np.zeros((4, 3))], [np.zeros(4), np.zeros(2)], r"one \(weight, bias\) pair"),
+         ([], [], r"one \(weight, bias\) pair"),
+         ([np.zeros((4, 3))], [np.zeros(5)], r"layer 0: weight \(4, 3\) and bias \(5,\)"),
+         ([np.zeros(4)], [np.zeros(4)], "layer 0: weight"),
+         ([np.zeros((4, 3))], [np.zeros((4, 1))], "layer 0: weight")],
+        ids=["unequal_lists", "no_layers", "bias_length", "one_dimensional_weight",
+             "two_dimensional_bias"],
+    )
+    def test_weight_and_bias_must_agree(self, weights, biases, match):
+        with pytest.raises(ContractViolation, match=match):
+            ModelParams(weights, biases)
+
     def test_layer_sizes(self):
         model = init_model([3, 4, 2], seed=0)
         assert model.layer_sizes() == [3, 4, 2]
@@ -339,6 +353,15 @@ class TestSGD:
         new, _ = sgd_step(model, grads, state)
         # v = 0 + (0 + 0.5 * 2) = 1, p = 2 - 0.1
         assert new.weights[0][0, 0] == pytest.approx(1.9, abs=1e-15)
+
+    def test_gradient_shapes_must_match_model(self):
+        model = init_model([3, 4, 2], seed=0)
+        state = init_optimizer(model, learning_rate=0.1)
+        before = model.flat.tobytes()
+        for grads in (init_model([3, 5, 2], seed=1), init_model([3, 4, 2, 2], seed=1)):
+            with pytest.raises(ContractViolation, match="gradient shapes do not match"):
+                sgd_step(model, grads, state)
+        assert model.flat.tobytes() == before
 
     def test_non_finite_gradient_aborts(self):
         model = init_model([2, 2], seed=0)

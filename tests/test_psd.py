@@ -110,6 +110,9 @@ class TestFuseLabels:
             fuse_labels(np.array([0.6, 0.4]), np.array([1.0, 0.0]), 1.5)
         with pytest.raises(ContractViolation):
             fuse_labels(np.array([0.7, 0.4]), np.array([1.0, 0.0]), 0.5)
+        for truth in (np.array([1.0, 0.0, 0.0]), np.array([[1.0, 0.0]])):
+            with pytest.raises(ContractViolation, match="must be matching vectors or batches"):
+                fuse_labels(np.array([0.6, 0.4]), truth, 0.5)
 
 
 class TestCalibratedCE:
@@ -463,6 +466,24 @@ class TestLocalTrainer:
         poisoned[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match=r"round 1, client 7, epoch 1"):
             local_train_fedpsd(model, poisoned, ds.labels, None, 7, 1, cfg)
+
+    def test_non_finite_gradient_reports_context(self):
+        # At batch 2 the proximal gradient overflows while the data loss is
+        # still finite, so the optimizer's error is the one that stops the run.
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((40, 4))
+        labels = np.repeat([0, 1], 20)
+        cfg = ExperimentConfig(
+            algorithm="fedprox", prox_mu=1e308, base_lr=100.0, epochs=1, batch_size=10
+        )
+        model = init_model([4, 8, 2], 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError) as info:
+                local_train_fedpsd(model, features, labels, None, 3, 0, cfg)
+        assert str(info.value) == (
+            "non-finite gradient in layer 0 weight at round 0, client 3, epoch 1, batch 2"
+        )
+        assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 class TestTracedNames:
