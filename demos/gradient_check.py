@@ -7,7 +7,7 @@ compares the analytic gradient of each loss (plain CE, calibrated CE,
 distillation KL, their sum, and FedProx's proximal penalty) with a
 numerical estimate, printing the worst relative error per loss.
 ``calibrated_ce_loss`` and ``psd_kd_loss`` wrap the trainer's per-batch
-loss, and ``proximal_term`` is the trainer's own proximal pull.
+loss, and ``proximal_term`` wraps the trainer's own proximal pull.
 """
 import numpy as np
 

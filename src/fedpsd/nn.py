@@ -130,13 +130,16 @@ def init_model(layer_sizes: list[int], seed: int) -> ModelParams:
 
 
 def _forward_cached(model: ModelParams, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass returning logits and the input activation of each layer."""
+    """Forward pass returning logits and the input activation of each
+    layer. Per layer it allocates one array, the product, then adds the
+    bias and applies the ReLU in place; ``batch`` is only read."""
     acts = [batch]
     h = batch
     last = model.num_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
-        h = z if i == last else np.maximum(z, 0.0)
+        z = h @ w.T
+        z += b
+        h = z if i == last else np.maximum(z, 0.0, out=z)
         if i != last:
             acts.append(h)
     return h, acts
@@ -202,15 +205,17 @@ def _backprop_from_acts(
 ) -> ModelParams:
     """Gradients from cached activations and (B, L) ``dlogits``, written
     into ``grads`` (a buffer laid out like ``model``) and returned.
-    Unchecked."""
+    Per hidden layer it allocates the next delta and masks it in place;
+    ``acts`` and ``dlogits`` are only read. Unchecked."""
     delta = dlogits
     for i in range(model.num_layers - 1, -1, -1):
         a = acts[i]
         np.matmul(delta.T, a, out=grads.weights[i])
         delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
+            delta = delta @ model.weights[i]
             # ReLU mask from post-activation: a > 0 iff pre-activation > 0.
-            delta = (delta @ model.weights[i]) * (a > 0.0)
+            delta *= a > 0.0
     return grads
 
 
@@ -223,9 +228,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax along the last axis, through log-sum-exp for stability."""
+    """Log-softmax along the last axis, through log-sum-exp for stability.
+    Writes into one new array; ``logits`` is only read."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
@@ -267,16 +274,18 @@ def _ce_inputs(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     return logits, labels
 
 
-def _ce_terms(log_p: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+def _ce_terms(
+    log_p: np.ndarray, probs: np.ndarray, labels: np.ndarray, rows: np.ndarray, onehots: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of the (B, L) log-probabilities ``log_p`` at
-    ``labels`` and its logit gradient (exp(log_p) - onehot) / B;
-    ``rows`` is arange(B). Unchecked."""
+    ``labels`` and its logit gradient (probs - onehots) / B, given
+    ``probs`` = exp(log_p), the labels' one-hot rows and ``rows`` =
+    arange(B). Its inputs are only read. Unchecked."""
     b = log_p.shape[0]
     # sum / b is how np.mean computes a mean, to the bit.
     loss = -float(log_p[rows, labels].sum()) / b
-    # (p - onehot) / b without the one-hot: the same IEEE operations.
-    dlogits = np.exp(log_p)
-    dlogits[rows, labels] -= 1.0
+    # x - 0.0 is x, so this is exp(log_p) with 1 taken off at each label.
+    dlogits = probs - onehots
     dlogits /= b
     return loss, dlogits
 
@@ -288,7 +297,10 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     computed through log-sum-exp for stability.
     """
     logits, labels = _ce_inputs(logits, labels)
-    return _ce_terms(log_softmax(logits), labels, np.arange(logits.shape[0]))
+    log_p = log_softmax(logits)
+    return _ce_terms(
+        log_p, np.exp(log_p), labels, np.arange(logits.shape[0]), one_hot(labels, logits.shape[1])
+    )
 
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -114,38 +114,44 @@ def _neg_entropy(teacher: np.ndarray) -> np.ndarray:
     return np.where(positive, teacher * np.log(np.where(positive, teacher, 1.0)), 0.0).sum(axis=1)
 
 
-def _kd_rows(log_p, teacher, neg_entropy) -> tuple[float, np.ndarray, np.ndarray]:
-    """Batch-mean KL(teacher || exp(log_p)), its logit gradient, and the
-    student probabilities (reused by the epoch cache), given the teacher
-    rows' ``_neg_entropy``. Unchecked."""
+def _kd_rows(log_p, probs, teacher, neg_entropy) -> tuple[float, np.ndarray]:
+    """Batch-mean KL(teacher || exp(log_p)) and its logit gradient, given
+    the student ``probs`` = exp(log_p) and the teacher rows'
+    ``_neg_entropy``. Its inputs are only read. Unchecked."""
     b = log_p.shape[0]
-    probs = np.exp(log_p)
     # sum / b is how np.mean computes a mean, to the bit.
     loss = float((neg_entropy - (teacher * log_p).sum(axis=1)).sum()) / b
     dlogits = probs - teacher
     dlogits /= b
-    return loss, dlogits, probs
+    return loss, dlogits
 
 
-def _batch_loss(logits, labels, rows, log_prior, kd) -> tuple[float, np.ndarray, np.ndarray | None]:
+def _batch_loss(
+    logits, labels, rows, onehots, log_prior, kd
+) -> tuple[float, np.ndarray, np.ndarray | None]:
     """The trainer's unchecked kernel for ``local_loss`` on one (B, L)
-    batch; ``rows`` is arange(B) and ``kd`` is None or (teacher rows,
-    their ``_neg_entropy``). Both log-softmaxes run as one stacked pass,
-    or as one shared pass when ``log_prior`` is None."""
+    batch; ``rows`` is arange(B), ``onehots`` the labels' one-hot rows
+    and ``kd`` None or (teacher rows, their ``_neg_entropy``). Both
+    log-softmaxes run as one stacked pass, or as one shared pass when
+    ``log_prior`` is None, and one ``np.exp`` gives both terms'
+    probabilities. Its inputs are only read."""
     if kd is None:
         log_p = log_softmax(logits if log_prior is None else logits + log_prior)
-        return *_ce_terms(log_p, labels, rows), None
+        return *_ce_terms(log_p, np.exp(log_p), labels, rows, onehots), None
     if log_prior is None:
         ce_log_p = kd_log_p = log_softmax(logits)
+        ce_p = kd_p = np.exp(ce_log_p)
     else:
         stacked = np.empty((2, *logits.shape))
         np.add(logits, log_prior, out=stacked[0])
         stacked[1] = logits
-        ce_log_p, kd_log_p = log_softmax(stacked)
-    loss, dlogits = _ce_terms(ce_log_p, labels, rows)
-    kd_loss, kd_grad, probs = _kd_rows(kd_log_p, *kd)
+        log_p = log_softmax(stacked)
+        ce_log_p, kd_log_p = log_p
+        ce_p, kd_p = np.exp(log_p)
+    loss, dlogits = _ce_terms(ce_log_p, ce_p, labels, rows, onehots)
+    kd_loss, kd_grad = _kd_rows(kd_log_p, kd_p, *kd)
     dlogits += kd_grad
-    return loss + kd_loss, dlogits, probs
+    return loss + kd_loss, dlogits, kd_p
 
 
 def local_loss(
@@ -168,7 +174,8 @@ def local_loss(
     """
     logits, labels = _ce_inputs(logits, labels)
     kd = None if teacher is None else (teacher, _neg_entropy(teacher))
-    return _batch_loss(logits, labels, np.arange(logits.shape[0]), log_prior, kd)
+    onehots = one_hot(labels, logits.shape[1])
+    return _batch_loss(logits, labels, np.arange(logits.shape[0]), onehots, log_prior, kd)
 
 
 def calibrated_ce_loss(logits: np.ndarray, labels, prior) -> tuple[float, np.ndarray]:
@@ -217,21 +224,38 @@ def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]
         raise ContractViolation(
             f"teacher shape {rows.shape} does not match logits shape {logits.shape}"
         )
-    loss, dlogits, _ = _kd_rows(log_softmax(logits), rows, _neg_entropy(rows))
+    log_p = log_softmax(logits)
+    loss, dlogits = _kd_rows(log_p, np.exp(log_p), rows, _neg_entropy(rows))
     return loss, (dlogits[0] if single else dlogits)
 
 
-def proximal_term(params: ModelParams, anchor: ModelParams, mu: float) -> tuple[float, ModelParams]:
-    """FedProx's pull (mu/2) * ||w - w_anchor||^2 and its gradient mu * (w - w_anchor)."""
+def _proximal(params: ModelParams, anchor: ModelParams, mu: float) -> tuple[float, np.ndarray]:
+    """FedProx's (mu/2) * ||w - w_anchor||^2 and its gradient mu * (w -
+    w_anchor) as one flat vector laid out like ``params``. Unchecked."""
     diff = params.flat - anchor.flat
+    squares = diff * diff
     # Summed array by array in ``arrays()`` order: one sum over the whole
     # vector would round differently and move FedProx's output bytes.
     sq, start = 0.0, 0
     for a in params.arrays():
-        d = diff[start : start + a.size]
-        sq += float((d * d).sum())
+        sq += float(squares[start : start + a.size].sum())
         start += a.size
-    return 0.5 * mu * sq, params.with_flat(mu * diff)
+    diff *= mu
+    return 0.5 * mu * sq, diff
+
+
+def proximal_term(params: ModelParams, anchor: ModelParams, mu: float) -> tuple[float, ModelParams]:
+    """FedProx's pull (mu/2) * ||w - w_anchor||^2 and its gradient mu * (w - w_anchor).
+
+    Raises ContractViolation unless both models have the same layout
+    and ``mu`` is finite and non-negative.
+    """
+    if params._shapes != anchor._shapes:
+        raise ContractViolation("params and anchor shapes do not match")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ContractViolation(f"mu must be finite and non-negative, got {mu}")
+    loss, pull = _proximal(params, anchor, mu)
+    return loss, params.with_flat(pull)
 
 
 def local_train_fedpsd(
@@ -258,11 +282,16 @@ def local_train_fedpsd(
     ``data.RowView``; it is read one batch, or one ``row_blocks`` block,
     at a time.
 
-    Inputs, a history's rows included under rhpk, are checked once, at
-    entry. Both teachers, the epoch-1 history and the later cache, are
-    fused by one expression, alpha * source + (1 - alpha) * one-hot as in
-    ``fuse_labels``, with its ``_neg_entropy``, once per epoch; per batch,
-    only a non-finite loss or gradient stops the run.
+    Per call, the inputs, a history's rows included under rhpk, are
+    checked once, and the one-hot rows and log prior are built. Per
+    epoch, the batch order is drawn and the labels, one-hot rows and
+    teacher are gathered in it; both teachers, the epoch-1 history and
+    the later cache, are fused by one expression, alpha * source[order]
+    + (1 - alpha) * one-hot[order] as in ``fuse_labels``, with its
+    ``_neg_entropy``. The psd cache is written in batch order and
+    scattered back to row order at the epoch's end. Per batch, only the
+    feature rows are gathered, the rest is sliced, and only a
+    non-finite loss or gradient stops the run.
 
     Under rhpk, the only reader, the new history is the trained model's
     (n_k, L) softmax over the full local set, computed in blocks that
@@ -299,26 +328,34 @@ def local_train_fedpsd(
         )
     history = _check_prob_rows(history, "history") if rhpk and history is not None else None
     cache = np.empty((n, num_classes)) if fedpsd and cfg.psd else None
+    epoch_cache = None if cache is None else np.empty_like(cache)
     rows = np.arange(min(n, cfg.batch_size))
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         source = history if epoch == 0 else cache
-        teacher = None if source is None else alpha * source + (1.0 - alpha) * onehots
-        neg_entropy = None if teacher is None else _neg_entropy(teacher)
         # The cache written during this epoch feeds the next one.
         fill_cache = cache is not None and epoch < cfg.epochs - 1
 
+        # Everything but the features is gathered once per epoch, in the
+        # order its batches read it; each batch is then a slice.
         perm = rng.permutation(n)
+        epoch_labels = labels[perm]
+        epoch_onehots = onehots[perm]
+        teacher = None if source is None else alpha * source[perm] + (1.0 - alpha) * epoch_onehots
+        neg_entropy = None if teacher is None else _neg_entropy(teacher)
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
-            logits, acts = _forward_cached(params, features[idx])
-            kd = None if teacher is None else (teacher[idx], neg_entropy[idx])
-            loss, dlogits, probs = _batch_loss(logits, labels[idx], rows[: idx.size], log_prior, kd)
+            batch = slice(start, start + cfg.batch_size)
+            logits, acts = _forward_cached(params, features[perm[batch]])
+            kd = None if teacher is None else (teacher[batch], neg_entropy[batch])
+            loss, dlogits, probs = _batch_loss(
+                logits, epoch_labels[batch], rows[: logits.shape[0]], epoch_onehots[batch],
+                log_prior, kd,
+            )
             if fill_cache:
                 # With a teacher this is the KD term's exp(log_softmax), else softmax:
                 # the two differ in the last bits, so one form would move bytes.
-                cache[idx] = softmax(logits) if probs is None else probs
+                epoch_cache[batch] = softmax(logits) if probs is None else probs
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at round {round_t}, client {client_id}, "
@@ -326,9 +363,9 @@ def local_train_fedpsd(
                 )
             _backprop_from_acts(params, acts, dlogits, grads)
             if prox:
-                prox_loss, prox_grads = proximal_term(params, global_params, cfg.prox_mu)
+                prox_loss, pull = _proximal(params, global_params, cfg.prox_mu)
                 loss = loss + prox_loss
-                grads.flat += prox_grads.flat
+                grads.flat += pull
             try:
                 sgd_step(params, grads, opt)
             except FloatingPointError as exc:
@@ -337,6 +374,8 @@ def local_train_fedpsd(
                     f"epoch {epoch + 1}, batch {batch_no + 1}"
                 ) from exc
             losses.append(loss)
+        if fill_cache:
+            cache[perm] = epoch_cache
 
     if not rhpk:
         return params, None, losses

@@ -102,7 +102,8 @@ def test_criterion_1_gradient_oracles():
     ``local_loss`` is the input-checked wrapper of ``psd._batch_loss``,
     the per-batch objective the local trainer runs, here in its four
     forms (plain CE, calibrated CE, CE + KD, calibrated CE + KD);
-    ``proximal_term`` is the trainer's FedProx pull.
+    ``proximal_term`` is the input-checked wrapper of ``psd._proximal``,
+    the trainer's FedProx pull.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)

@@ -295,15 +295,15 @@ class TestLocalBaseline:
         assert losses[-1] < losses[0]
 
     @staticmethod
-    def _assert_matches_reference(**overrides):
+    def _assert_matches_reference(batch_size=16, **overrides):
         ds = synth_generate(4, 8, 30, seed=5, spread=0.3)
         model = init_model([8, 6, 5, 4], seed=5)
         cfg = ExperimentConfig(
-            epochs=3, batch_size=16, seed=11, t_total=10, momentum=0.9, weight_decay=1e-3,
-            base_lr=0.04, lr_decay=1.0, **overrides,
+            epochs=3, batch_size=batch_size, seed=11, t_total=10, momentum=0.9,
+            weight_decay=1e-3, base_lr=0.04, lr_decay=1.0, **overrides,
         )
         params, history, losses = local_train_fedpsd(model, ds.features, ds.labels, None, 3, 2, cfg)
-        want_params, want_losses, _ = _reference_local_update(
+        want_params, want_losses, want_history = _reference_local_update(
             model, ds.features, ds.labels, 3, 2, cfg
         )
         assert losses == want_losses
@@ -311,6 +311,8 @@ class TestLocalBaseline:
         for got, want in zip(params.arrays(), want_params):
             assert np.array_equal(got, want)
         assert (history is None) == (cfg.algorithm != "fedpsd" or not cfg.rhpk)
+        if history is not None:
+            assert history.tobytes() == want_history.tobytes()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -318,8 +320,11 @@ class TestLocalBaseline:
             dict(algorithm="fedavg"),
             dict(algorithm="fedprox", prox_mu=0.5),
             dict(algorithm="fedprox", prox_mu=0.0),
+            # 120 rows in batches of 17 leave a one-row last batch.
+            dict(algorithm="fedprox", prox_mu=0.5, batch_size=17),
+            dict(algorithm="fedpsd", batch_size=17),
         ],
-        ids=["fedavg", "fedprox", "fedprox_mu0"],
+        ids=["fedavg", "fedprox", "fedprox_mu0", "fedprox_b17", "fedpsd_b17"],
     )
     def test_matches_straight_line_reference(self, overrides):
         # The fedpsd flags stay at their defaults (on) here, so this also
@@ -361,18 +366,30 @@ def aggregated(monkeypatch):
     return seen
 
 
+# Every (rhpk, psd, cll) combination, in batches of 16 and of 29; 29
+# over a client's 30 rows leaves a one-row last batch.
+_REFERENCE_CASES = [
+    (dict(zip(("rhpk", "psd", "cll"), on)), b)
+    for b in (16, 29)
+    for on in itertools.product((False, True), repeat=3)
+]
+
+
 class TestFedPSDReference:
     @pytest.mark.parametrize(
-        "flags",
-        [dict(zip(("rhpk", "psd", "cll"), on)) for on in itertools.product((False, True), repeat=3)],
-        ids=lambda flags: "+".join(name for name, on in flags.items() if on) or "none",
+        "flags, batch_size",
+        _REFERENCE_CASES,
+        ids=[
+            ("+".join(name for name, on in flags.items() if on) or "none") + ("" if b == 16 else f"-b{b}")
+            for flags, b in _REFERENCE_CASES
+        ],
     )
-    def test_three_rounds_match_the_straight_line_reference(self, aggregated, flags):
+    def test_three_rounds_match_the_straight_line_reference(self, aggregated, flags, batch_size):
         # Every client trains every round, so from round 1 on each has a
         # history; alpha = t / 5 is 0, 0.2 and 0.4 over the three rounds.
         cfg = _small_cfg(
             algorithm="fedpsd", num_clients=4, fraction=1.0, epochs=3, momentum=0.9,
-            weight_decay=1e-3, **flags,
+            weight_decay=1e-3, batch_size=batch_size, **flags,
         )
         train, test, server, clients = _federation(cfg)
         for t in range(3):

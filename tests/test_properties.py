@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fedpsd.config import ConfigError, ExperimentConfig, echo_config, parse_config
 from fedpsd.data import LabeledDataset, partition_dirichlet, partition_sharding
-from fedpsd import psd
+from fedpsd import nn, psd
 from fedpsd.engine import aggregate
 from fedpsd.nn import init_model
 
@@ -171,28 +171,35 @@ def _per_batch_chain(logits, labels, log_prior, teacher):
 def test_trainer_loss_kernel_matches_the_per_batch_chain_bytewise(
     n, batch_size, classes, scale, alpha, cll, distill, seed
 ):
-    """One epoch of batches as the trainer runs them: the teacher's
-    entropy computed once, then gathered per batch, the last batch short
-    whenever batch_size does not divide n."""
+    """One epoch of batches as the trainer runs them: labels, one-hot
+    rows, teacher and the teacher's entropy gathered once, in batch
+    order, then sliced per batch, the last batch short whenever
+    batch_size does not divide n."""
     rng = np.random.default_rng(seed)
     logits = rng.uniform(-scale, scale, size=(n, classes))
     labels = rng.integers(0, classes, size=n)
     prior = rng.dirichlet(np.full(classes, 0.5)) + 1e-3
     log_prior = np.log(prior / prior.sum()) if cll else None
-    teacher = neg_entropy = None
+    teacher = None
     if distill:
         raw = rng.dirichlet(np.ones(classes), size=n)
         raw[rng.random((n, classes)) < 0.4] = 0.0  # exact zeros
         raw[np.arange(n), rng.integers(0, classes, size=n)] += 0.5
         onehots = np.eye(classes)[labels]
         teacher = alpha * (raw / raw.sum(axis=1, keepdims=True)) + (1.0 - alpha) * onehots
-        neg_entropy = psd._neg_entropy(teacher)
     rows = np.arange(min(n, batch_size))
     perm = rng.permutation(n)
+    epoch_labels = labels[perm]
+    epoch_onehots = np.eye(classes)[epoch_labels]
+    if distill:
+        epoch_teacher = teacher[perm]
+        neg_entropy = psd._neg_entropy(epoch_teacher)
     for start in range(0, n, batch_size):
-        idx = perm[start : start + batch_size]
-        kd = None if teacher is None else (teacher[idx], neg_entropy[idx])
-        got = psd._batch_loss(logits[idx], labels[idx], rows[: idx.size], log_prior, kd)
+        idx, batch = perm[start : start + batch_size], slice(start, start + batch_size)
+        kd = None if teacher is None else (epoch_teacher[batch], neg_entropy[batch])
+        got = psd._batch_loss(
+            logits[idx], epoch_labels[batch], rows[: idx.size], epoch_onehots[batch], log_prior, kd
+        )
         want = _per_batch_chain(logits[idx], labels[idx], log_prior, None if teacher is None else teacher[idx])
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -200,3 +207,51 @@ def test_trainer_loss_kernel_matches_the_per_batch_chain_bytewise(
             assert got[2].tobytes() == want[2].tobytes()
         else:
             assert got[2] is None and want[2] is None
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=3),
+    classes=st.integers(min_value=2, max_value=6),
+    b=st.integers(min_value=1, max_value=9),
+    cll=st.booleans(),
+    distill=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_step_kernels_leave_their_inputs_alone(sizes, classes, b, cll, distill, seed):
+    """The trainer's per-step kernels write in place only into arrays
+    they allocated: every input's bytes survive, one-row batches too."""
+    rng = np.random.default_rng(seed)
+    model = init_model(sizes + [classes], seed=seed)
+
+    def frozen(*arrays):
+        return [a.tobytes() for a in arrays]
+
+    batch = rng.standard_normal((b, sizes[0]))
+    before = frozen(batch, model.flat)
+    logits, acts = nn._forward_cached(model, batch)
+    assert frozen(batch, model.flat) == before
+
+    dlogits = rng.standard_normal(logits.shape)
+    before = frozen(dlogits, model.flat, *acts)
+    nn._backprop_from_acts(model, acts, dlogits, model.zeros_like())
+    assert frozen(dlogits, model.flat, *acts) == before
+
+    before = frozen(logits)
+    nn.log_softmax(logits)
+    assert frozen(logits) == before
+
+    labels = rng.integers(0, classes, size=b)
+    onehots = np.eye(classes)[labels]
+    inputs = [logits, labels, onehots]
+    log_prior = kd = None
+    if cll:
+        log_prior = np.log(rng.dirichlet(np.ones(classes)) + 1e-3)
+        inputs.append(log_prior)
+    if distill:
+        teacher = rng.dirichlet(np.ones(classes), size=b)
+        kd = (teacher, psd._neg_entropy(teacher))
+        inputs.extend(kd)
+    before = frozen(*inputs)
+    psd._batch_loss(logits, labels, np.arange(b), onehots, log_prior, kd)
+    assert frozen(*inputs) == before

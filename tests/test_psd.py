@@ -319,6 +319,36 @@ def _client_data(seed=0, classes=4, dim=8, per_class=30, spread=0.3):
     return synth_generate(classes, dim, per_class, seed=seed, spread=spread)
 
 
+class TestProximalTerm:
+    def test_value_and_gradient(self):
+        params = init_model([3, 4, 2], seed=1)
+        anchor = init_model([3, 4, 2], seed=2)
+        loss, grads = psd.proximal_term(params, anchor, 0.5)
+        diff = [p - a for p, a in zip(params.arrays(), anchor.arrays())]
+        # Summed array by array, as the trainer sums it; one sum over
+        # the whole vector rounds differently for these two models.
+        assert loss == 0.5 * 0.5 * sum(float((d * d).sum()) for d in diff)
+        for got, d in zip(grads.arrays(), diff, strict=True):
+            assert got.tobytes() == (0.5 * d).tobytes()
+
+    def test_same_size_in_another_layout_rejected(self):
+        # 4*2 + 2 + 2*3 + 3 == 1*2 + 2 + 2*5 + 5 == 19 parameters.
+        params, anchor = init_model([4, 2, 3], 0), init_model([1, 2, 5], 0)
+        assert params.flat.size == anchor.flat.size
+        with pytest.raises(ContractViolation, match="shapes do not match"):
+            psd.proximal_term(params, anchor, 0.1)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ContractViolation, match="shapes do not match"):
+            psd.proximal_term(init_model([4, 2, 3], 0), init_model([4, 3, 3], 0), 0.1)
+
+    @pytest.mark.parametrize("mu", [math.nan, -0.1, math.inf])
+    def test_mu_must_be_finite_and_non_negative(self, mu):
+        model = init_model([4, 2, 3], 0)
+        with pytest.raises(ContractViolation, match="mu must be finite and non-negative"):
+            psd.proximal_term(model, model.copy(), mu)
+
+
 class TestLocalTrainer:
     def test_first_round_rhpk_equals_cll_only(self):
         # Without history the first-epoch distillation term vanishes, so a
