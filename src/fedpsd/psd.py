@@ -8,11 +8,11 @@ a fused soft label: the convex combination of a teacher probability
 vector and the one-hot ground truth, weighted by a linearly growing
 schedule over rounds.
 
-Teachers come from two places. In the first local epoch the teacher is
-the client's history, kept only under rhpk: the (n_k, L) softmax array
-recorded after its previous participation. In later epochs the teacher
-is the previous epoch's own (detached) outputs. Disabling the flags
-removes each term; with everything off FedPSD runs the FedAvg update.
+Teachers come from two places: the client's history in the first local
+epoch (kept only under rhpk) and the previous epoch's detached outputs
+after it, both the student's exp(log_softmax(logits)) of plain logits.
+Disabling the flags removes each term; with everything off FedPSD runs
+the FedAvg update.
 """
 from __future__ import annotations
 
@@ -36,14 +36,16 @@ from .nn import (
     one_hot,
     row_blocks,
     sgd_step,
-    softmax,
 )
 
 
-def _check_prob_rows(rows: np.ndarray, what: str) -> np.ndarray:
-    """``rows`` as float64; raises unless it is non-empty and every row
-    has entries >= 0 summing to 1 within 1e-9."""
+def _check_prob_rows(rows: np.ndarray, what: str, shape=None) -> np.ndarray:
+    """``rows`` as float64; raises unless it is non-empty, of ``shape``
+    when that is given, and every row has entries >= 0 summing to 1
+    within 1e-9."""
     rows = np.asarray(rows, dtype=np.float64)
+    if shape is not None and rows.shape != shape:
+        raise ContractViolation(f"{what} shape {rows.shape} does not match logits {shape}")
     # Written as "not all good" so that NaN, which fails every
     # comparison, is rejected too.
     if rows.size == 0 or not (
@@ -127,31 +129,32 @@ def _kd_rows(log_p, probs, teacher, neg_entropy) -> tuple[float, np.ndarray]:
 
 
 def _batch_loss(
-    logits, labels, rows, onehots, log_prior, kd
+    logits, labels, rows, onehots, log_prior, kd, want_probs=False
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """The trainer's unchecked kernel for ``local_loss`` on one (B, L)
     batch; ``rows`` is arange(B), ``onehots`` the labels' one-hot rows
-    and ``kd`` None or (teacher rows, their ``_neg_entropy``). Both
-    log-softmaxes run as one stacked pass, or as one shared pass when
-    ``log_prior`` is None, and one ``np.exp`` gives both terms'
-    probabilities. Its inputs are only read."""
-    if kd is None:
-        log_p = log_softmax(logits if log_prior is None else logits + log_prior)
-        return *_ce_terms(log_p, np.exp(log_p), labels, rows, onehots), None
-    if log_prior is None:
-        ce_log_p = kd_log_p = log_softmax(logits)
-        ce_p = kd_p = np.exp(ce_log_p)
-    else:
+    and ``kd`` None or (teacher rows, their ``_neg_entropy``). Returns
+    (loss, dlogits, probs), probs the student's exp(log_softmax(logits))
+    of the plain logits when ``kd`` or ``want_probs`` asks for it, else
+    None. The calibrated and plain log-softmaxes run as one stacked pass
+    (one shared pass when ``log_prior`` is None) and one ``np.exp`` gives
+    both. Its inputs are only read."""
+    plain = kd is not None or want_probs
+    if plain and log_prior is not None:
         stacked = np.empty((2, *logits.shape))
         np.add(logits, log_prior, out=stacked[0])
         stacked[1] = logits
-        log_p = log_softmax(stacked)
-        ce_log_p, kd_log_p = log_p
-        ce_p, kd_p = np.exp(log_p)
+        both = log_softmax(stacked)
+        (ce_log_p, log_p), (ce_p, probs) = both, np.exp(both)
+    else:  # one pass; unless ``plain``, only the cross-entropy reads it
+        ce_log_p = log_p = log_softmax(logits if log_prior is None else logits + log_prior)
+        ce_p = probs = np.exp(log_p)
     loss, dlogits = _ce_terms(ce_log_p, ce_p, labels, rows, onehots)
-    kd_loss, kd_grad = _kd_rows(kd_log_p, kd_p, *kd)
-    dlogits += kd_grad
-    return loss + kd_loss, dlogits, kd_p
+    if kd is not None:
+        kd_loss, kd_grad = _kd_rows(log_p, probs, *kd)
+        dlogits += kd_grad
+        loss = loss + kd_loss
+    return loss, dlogits, probs if plain else None
 
 
 def local_loss(
@@ -166,13 +169,21 @@ def local_loss(
     ``log_prior`` is None), plus KL(teacher || softmax(logits)) when
     ``teacher`` rows are given; the distillation term always sees the
     uncalibrated logits. Returns (loss, dlogits, probs), with probs the
-    student softmax when the KL term ran and None otherwise.
+    student's exp(log_softmax(logits)) when the KL term ran, else None.
 
-    The trainer runs the same arithmetic, ``_batch_loss``, without the
-    checks this runs on every call (non-empty logits, integer labels in
-    range) and with the teacher's entropy computed once per epoch.
+    Raises ContractViolation unless the logits are a non-empty batch,
+    the labels B integers in range, ``log_prior`` a finite (L,) vector
+    and ``teacher`` (B, L) probability rows. The trainer runs the same
+    arithmetic, ``_batch_loss``, unchecked and with the teacher's
+    entropy computed once per epoch.
     """
     logits, labels = _ce_inputs(logits, labels)
+    if log_prior is not None:
+        log_prior = np.asarray(log_prior, dtype=np.float64)
+        if log_prior.shape != logits.shape[1:] or not np.isfinite(log_prior).all():
+            raise ContractViolation(f"log_prior must be a finite vector of length {logits.shape[1]}")
+    if teacher is not None:
+        teacher = _check_prob_rows(teacher, "teacher", logits.shape)
     kd = None if teacher is None else (teacher, _neg_entropy(teacher))
     onehots = one_hot(labels, logits.shape[1])
     return _batch_loss(logits, labels, np.arange(logits.shape[0]), onehots, log_prior, kd)
@@ -214,32 +225,22 @@ def psd_kd_loss(teacher, student_logits: np.ndarray) -> tuple[float, np.ndarray]
     probabilities use the plain softmax (calibration never touches the
     distillation term).
     """
-    rows = _check_prob_rows(teacher, "teacher")
     logits = np.asarray(student_logits, dtype=np.float64)
     single = logits.ndim == 1
     if single:
-        logits = logits[None, :]
-        rows = rows[None, :] if rows.ndim == 1 else rows
-    if rows.shape != logits.shape:
-        raise ContractViolation(
-            f"teacher shape {rows.shape} does not match logits shape {logits.shape}"
-        )
+        logits, teacher = logits[None, :], np.atleast_2d(teacher)
+    rows = _check_prob_rows(teacher, "teacher", logits.shape)
     log_p = log_softmax(logits)
     loss, dlogits = _kd_rows(log_p, np.exp(log_p), rows, _neg_entropy(rows))
     return loss, (dlogits[0] if single else dlogits)
 
 
 def _proximal(params: ModelParams, anchor: ModelParams, mu: float) -> tuple[float, np.ndarray]:
-    """FedProx's (mu/2) * ||w - w_anchor||^2 and its gradient mu * (w -
-    w_anchor) as one flat vector laid out like ``params``. Unchecked."""
+    """FedProx's (mu/2) * ||w - w_anchor||^2, one sum over the flat
+    vectors, and its gradient mu * (w - w_anchor) laid out like
+    ``params.flat``. Unchecked."""
     diff = params.flat - anchor.flat
-    squares = diff * diff
-    # Summed array by array in ``arrays()`` order: one sum over the whole
-    # vector would round differently and move FedProx's output bytes.
-    sq, start = 0.0, 0
-    for a in params.arrays():
-        sq += float(squares[start : start + a.size].sum())
-        start += a.size
+    sq = float((diff * diff).sum())
     diff *= mu
     return 0.5 * mu * sq, diff
 
@@ -294,11 +295,11 @@ def local_train_fedpsd(
     non-finite loss or gradient stops the run.
 
     Under rhpk, the only reader, the new history is the trained model's
-    (n_k, L) softmax over the full local set, computed in blocks that
-    give one whole-set forward's bits: the plain softmax of uncalibrated
-    logits, the code's reading of the paper's "calibrated fusion
-    labels". Returns (params, history, per-batch losses); the history
-    is None unless fedpsd runs with rhpk.
+    (n_k, L) probabilities exp(log_softmax(logits)) over the full local
+    set, computed in blocks that give one whole-set forward's bits: the
+    uncalibrated logits, the code's reading of the paper's "calibrated
+    fusion labels". Returns (params, history, per-batch losses); the
+    history is None unless fedpsd runs with rhpk.
     """
     n = labels.shape[0]
     num_classes = global_params.num_classes
@@ -350,12 +351,10 @@ def local_train_fedpsd(
             kd = None if teacher is None else (teacher[batch], neg_entropy[batch])
             loss, dlogits, probs = _batch_loss(
                 logits, epoch_labels[batch], rows[: logits.shape[0]], epoch_onehots[batch],
-                log_prior, kd,
+                log_prior, kd, fill_cache,
             )
             if fill_cache:
-                # With a teacher this is the KD term's exp(log_softmax), else softmax:
-                # the two differ in the last bits, so one form would move bytes.
-                epoch_cache[batch] = softmax(logits) if probs is None else probs
+                epoch_cache[batch] = probs
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at round {round_t}, client {client_id}, "
@@ -381,5 +380,5 @@ def local_train_fedpsd(
         return params, None, losses
     history = np.empty((n, num_classes))
     for block in row_blocks(n, params):
-        history[block] = softmax(forward(params, features[block]))
+        history[block] = np.exp(log_softmax(forward(params, features[block])))
     return params, history, losses

@@ -31,7 +31,7 @@ from fedpsd.nn import (
     ContractViolation,
     forward,
     init_model,
-    softmax,
+    log_softmax,
     top1_accuracy,
 )
 from fedpsd.psd import local_train_fedpsd, lr_schedule
@@ -142,21 +142,22 @@ def _reference_local_update(model, features, labels, client_id, round_t, cfg, hi
 
     Every algorithm runs mini-batch SGD with classical momentum, at
     lr = base_lr * lr_decay^t, on the batch-mean cross-entropy; FedProx
-    adds (mu/2) ||w - w_global||^2. FedPSD, with alpha = t / t_total:
+    adds (mu/2) ||w - w_global||^2, the norm of the whole parameter
+    vector. The student's probabilities are q = exp(log_softmax(f)) of
+    the plain logits f. FedPSD, with alpha = t / t_total:
 
     - cll: the cross-entropy sees the prior-shifted logits f + ln P,
       P(y) = (count_y + eps) / (n_k + L * eps) over the client's labels;
     - rhpk: in epoch 1, once the client has a history, the teacher is
       alpha * history + (1 - alpha) * onehot; the new history is the
-      trained model's softmax over the local set;
+      trained model's q over the local set;
     - psd: in epochs >= 2 the teacher is alpha * q + (1 - alpha) * onehot,
-      q being each sample's student softmax at its forward pass in the
-      previous epoch;
-    - a teacher adds KL(teacher || softmax(f)), on the plain logits f.
+      each sample's q taken at its forward pass in the previous epoch;
+    - a teacher adds KL(teacher || q).
 
     Returns (params, losses, history): params as [w0, b0, w1, b1, ...],
-    the order in which the trainer sums the proximal penalty, and the
-    history None unless fedpsd runs with rhpk.
+    the order of ``ModelParams.flat``, and the history None unless
+    fedpsd runs with rhpk.
     """
     params = [a.copy() for a in model.arrays()]
     anchor = model.arrays()
@@ -175,10 +176,6 @@ def _reference_local_update(model, features, labels, client_id, round_t, cfg, hi
     def log_softmax(z):
         shifted = z - z.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-    def softmax(z):
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
 
     def activations(x):
         inputs = [x]
@@ -202,16 +199,13 @@ def _reference_local_update(model, features, labels, client_id, round_t, cfg, hi
             rows, y, b = np.arange(idx.size), labels[idx], idx.size
             inputs = activations(features[idx])
             logits = inputs.pop()
-            log_p = log_softmax(logits + np.log(prior) if fedpsd and cfg.cll else logits)
+            log_q = log_softmax(logits)
+            q = np.exp(log_q)
+            log_p = log_softmax(logits + np.log(prior)) if fedpsd and cfg.cll else log_q
             loss = float(-log_p[rows, y].mean())
             delta = (np.exp(log_p) - onehot[idx]) / b
-            if teacher is None:
-                q = softmax(logits)
-            else:
-                # q is read off the log-softmax the KL term needs, not
-                # recomputed: the two forms differ in the last bits.
-                t, log_q = teacher[idx], log_softmax(logits)
-                q = np.exp(log_q)
+            if teacher is not None:
+                t = teacher[idx]
                 t_log_t = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0)
                 loss = loss + float((t_log_t.sum(axis=1) - (t * log_q).sum(axis=1)).mean())
                 delta = delta + (q - t) / b
@@ -223,19 +217,17 @@ def _reference_local_update(model, features, labels, client_id, round_t, cfg, hi
                 if i > 0:
                     delta = (delta @ params[2 * i]) * (inputs[i] > 0.0)
             if mu is not None:
-                sq = 0.0
-                for j in range(len(params)):
-                    diff = params[j] - anchor[j]
-                    sq += float((diff * diff).sum())
-                    grads[j] = grads[j] + mu * diff
-                loss = loss + 0.5 * mu * sq
+                diff = [p - a for p, a in zip(params, anchor)]
+                w = np.concatenate([d.ravel() for d in diff])
+                loss = loss + 0.5 * mu * float((w * w).sum())
+                grads = [g + mu * d for g, d in zip(grads, diff)]
             for j in range(len(params)):
                 velocity[j] = cfg.momentum * velocity[j] + (grads[j] + cfg.weight_decay * params[j])
                 params[j] = params[j] - lr * velocity[j]
             losses.append(loss)
     if not (fedpsd and cfg.rhpk):
         return params, losses, None
-    return params, losses, softmax(activations(features)[-1])
+    return params, losses, np.exp(log_softmax(activations(features)[-1]))
 
 
 class TestLocalBaseline:
@@ -320,11 +312,14 @@ class TestLocalBaseline:
             dict(algorithm="fedavg"),
             dict(algorithm="fedprox", prox_mu=0.5),
             dict(algorithm="fedprox", prox_mu=0.0),
+            # Summing the squares array by array rounds one of this
+            # case's losses differently from the whole-vector sum.
+            dict(algorithm="fedprox", prox_mu=3.0),
             # 120 rows in batches of 17 leave a one-row last batch.
             dict(algorithm="fedprox", prox_mu=0.5, batch_size=17),
             dict(algorithm="fedpsd", batch_size=17),
         ],
-        ids=["fedavg", "fedprox", "fedprox_mu0", "fedprox_b17", "fedpsd_b17"],
+        ids=["fedavg", "fedprox", "fedprox_mu0", "fedprox_mu3", "fedprox_b17", "fedpsd_b17"],
     )
     def test_matches_straight_line_reference(self, overrides):
         # The fedpsd flags stay at their defaults (on) here, so this also
@@ -834,8 +829,8 @@ class TestTrainOne:
         assert got[0].flat.tobytes() == want[0].flat.tobytes()
         assert got[2] == want[2] and len(got[2]) == 12
         if algorithm == "fedpsd":
-            # The blocked history is one whole-set softmax to the bit.
-            whole = softmax(forward(got[0], train.rows(idx)))
+            # The blocked history is one whole-set pass to the bit.
+            whole = np.exp(log_softmax(forward(got[0], train.rows(idx))))
             assert got[1].tobytes() == want[1].tobytes() == whole.tobytes()
         else:
             assert got[1] is None and want[1] is None

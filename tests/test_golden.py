@@ -4,9 +4,13 @@ Refactors that claim to change no behaviour must keep these digests.
 A change that moves them on purpose updates the table and says why.
 The digests were taken with float64 numpy on OpenBLAS; a different
 BLAS may round matrix products differently, so a mismatch prints the
-numpy and BLAS build next to the digest.
+numpy and BLAS build next to the digest. The expected text of each CSV
+golden is kept in ``golden/<name>/``, so a mismatch also names the
+first row that differs and the largest absolute difference per column.
 """
+import csv
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,16 +49,61 @@ GOLDEN = {
 }
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+_CSVS = ("metrics.csv", "sweeps.csv")
+
+
+def _digest(directory) -> str:
+    return hashlib.sha256(b"".join((directory / f).read_bytes() for f in _CSVS)).hexdigest()
+
+
+def _csv_diff(label: str, want: str, got: str) -> str:
+    """Where the CSV text ``got`` departs from ``want``: its first
+    differing line, and per column the largest absolute difference over
+    the data rows both have (a count of differing cells where a column
+    is not numeric)."""
+    want_rows, got_rows = list(csv.reader(want.splitlines())), list(csv.reader(got.splitlines()))
+    if want_rows == got_rows:
+        return f"{label}: identical"
+    line = next(
+        i for i in range(max(len(want_rows), len(got_rows)))
+        if want_rows[i : i + 1] != got_rows[i : i + 1]
+    )
+    text = [f"{label}: first difference at line {line + 1}:"]
+    for side, rows in (("want", want_rows), ("got ", got_rows)):
+        text.append(f"  {side} {','.join(rows[line]) if line < len(rows) else '<no line>'}")
+    pairs = list(zip(want_rows[1:], got_rows[1:]))
+    for col, header in enumerate(want_rows[0] if want_rows else ()):
+        cells = [(w[col], g[col]) for w, g in pairs if col < min(len(w), len(g))]
+        try:
+            largest = max((abs(float(w) - float(g)) for w, g in cells), default=0.0)
+            text.append(f"  {header}: largest |difference| {largest:.6g}")
+        except ValueError:
+            text.append(f"  {header}: {sum(w != g for w, g in cells)} cells differ")
+    return "\n".join(text)
+
+
+def _mismatch_report(name: str, directory) -> str:
+    return "\n".join(
+        _csv_diff(f, (GOLDEN_DIR / name / f).read_text(), (directory / f).read_text())
+        for f in _CSVS
+    )
+
+
+def _assert_matches_golden(name, want, series, directory, blas_build):
+    emit_metrics(series, directory / "metrics.csv")
+    emit_sweeps(series, directory / "sweeps.csv")
+    digest = _digest(directory)
+    assert digest == want, (
+        f"{name}: sha256 {digest} on {blas_build}\n{_mismatch_report(name, directory)}"
+    )
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_golden(name, tmp_path, blas_build):
     overrides, want = GOLDEN[name]
     series = run_experiment(ExperimentConfig(**{**_BASE, **overrides}))
-    emit_metrics(series, tmp_path / "metrics.csv")
-    emit_sweeps(series, tmp_path / "sweeps.csv")
-    digest = hashlib.sha256(
-        (tmp_path / "metrics.csv").read_bytes() + (tmp_path / "sweeps.csv").read_bytes()
-    ).hexdigest()
-    assert digest == want, f"{name}: sha256 {digest} on {blas_build}"
+    _assert_matches_golden(name, want, series, tmp_path, blas_build)
 
 
 # The same pins for a run that reads its data from IDX files: a seeded
@@ -81,18 +130,38 @@ def _idx_config(directory) -> ExperimentConfig:
 
 def test_idx_output_bytes_match_golden(tmp_path, blas_build):
     series = run_experiment(_idx_config(tmp_path))
-    emit_metrics(series, tmp_path / "metrics.csv")
-    emit_sweeps(series, tmp_path / "sweeps.csv")
-    digest = hashlib.sha256(
-        (tmp_path / "metrics.csv").read_bytes() + (tmp_path / "sweeps.csv").read_bytes()
-    ).hexdigest()
-    assert digest == IDX_GOLDEN, f"idx: sha256 {digest} on {blas_build}"
+    _assert_matches_golden("idx", IDX_GOLDEN, series, tmp_path, blas_build)
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "idx"])
+def test_committed_texts_match_their_digests(name):
+    want = IDX_GOLDEN if name == "idx" else GOLDEN[name][1]
+    assert _digest(GOLDEN_DIR / name) == want
+
+
+def test_mismatch_report_names_the_row_and_the_largest_difference(tmp_path):
+    for f in _CSVS:
+        (tmp_path / f).write_text((GOLDEN_DIR / "fedavg" / f).read_text())
+    metrics = (tmp_path / "metrics.csv").read_text().splitlines(keepends=True)
+    row = metrics[3].split(",")
+    row[1] = f"{float(row[1]) + 0.25:.6f}"
+    row[3] = f"{float(row[3]) - 1e-6:.6f}"
+    metrics[3] = ",".join(row)
+    (tmp_path / "metrics.csv").write_text("".join(metrics))
+    report = _mismatch_report("fedavg", tmp_path)
+    assert "metrics.csv: first difference at line 4:" in report
+    assert f"  got  {metrics[3].strip()}" in report
+    assert "  avg_client_top1: largest |difference| 0.25" in report
+    assert "  server_top1: largest |difference| 0\n" in report
+    assert "  mean_local_loss: largest |difference| 1e-06" in report
+    assert "  sampled: 0 cells differ" in report
+    assert "sweeps.csv: identical" in report
 
 
 # The IDX run's raw bits, which the six-decimal CSV rounds away: the
 # final global parameters, then each client's history (b"none" for a
 # client never sampled) in client order.
-IDX_RAW_GOLDEN = "b9028b8bf12a73c795e72ea986343d3c6bc254a4509a83459b5c170a2ab2b80b"
+IDX_RAW_GOLDEN = "f692125d5cb136f400775807d831af17c8cd42565a5b766bb0b386313b44447e"
 
 
 def test_idx_raw_bits_match_golden(tmp_path, blas_build):

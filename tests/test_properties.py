@@ -132,8 +132,9 @@ def test_dirichlet_gives_disjoint_bounded_shares(ds, data):
 
 
 def _per_batch_chain(logits, labels, log_prior, teacher):
-    """The trainer's per-batch loss as ``softmax_ce`` and ``_kd_rows``
-    computed it, one log-softmax each: the byte oracle of ``_batch_loss``."""
+    """The trainer's per-batch loss and gradient as ``softmax_ce`` and
+    ``_kd_rows`` computed them, one log-softmax each: the byte oracle of
+    ``_batch_loss``."""
     b = logits.shape[0]
     rows = np.arange(b)
 
@@ -147,14 +148,14 @@ def _per_batch_chain(logits, labels, log_prior, teacher):
     dlogits[rows, labels] -= 1.0
     dlogits /= b
     if teacher is None:
-        return loss, dlogits, None
+        return loss, dlogits
     log_q = log_softmax(logits)
     probs = np.exp(log_q)
     t = teacher
     neg_entropy = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0).sum(axis=1)
     cross = -(t * log_q).sum(axis=1)
     kd_loss = float((neg_entropy + cross).mean())
-    return loss + kd_loss, dlogits + (probs - t) / b, probs
+    return loss + kd_loss, dlogits + (probs - t) / b
 
 
 @settings(deadline=None, max_examples=200)
@@ -166,15 +167,17 @@ def _per_batch_chain(logits, labels, log_prior, teacher):
     alpha=st.sampled_from((0.0, 0.3, 1.0)),
     cll=st.booleans(),
     distill=st.booleans(),
+    fill=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_trainer_loss_kernel_matches_the_per_batch_chain_bytewise(
-    n, batch_size, classes, scale, alpha, cll, distill, seed
+    n, batch_size, classes, scale, alpha, cll, distill, fill, seed
 ):
     """One epoch of batches as the trainer runs them: labels, one-hot
     rows, teacher and the teacher's entropy gathered once, in batch
     order, then sliced per batch, the last batch short whenever
-    batch_size does not divide n."""
+    batch_size does not divide n. The student probabilities a teacher
+    or a cache fill asks for are exp(log_softmax) of the plain logits."""
     rng = np.random.default_rng(seed)
     logits = rng.uniform(-scale, scale, size=(n, classes))
     labels = rng.integers(0, classes, size=n)
@@ -198,15 +201,16 @@ def test_trainer_loss_kernel_matches_the_per_batch_chain_bytewise(
         idx, batch = perm[start : start + batch_size], slice(start, start + batch_size)
         kd = None if teacher is None else (epoch_teacher[batch], neg_entropy[batch])
         got = psd._batch_loss(
-            logits[idx], epoch_labels[batch], rows[: idx.size], epoch_onehots[batch], log_prior, kd
+            logits[idx], epoch_labels[batch], rows[: idx.size], epoch_onehots[batch], log_prior,
+            kd, fill,
         )
         want = _per_batch_chain(logits[idx], labels[idx], log_prior, None if teacher is None else teacher[idx])
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-        if distill:
-            assert got[2].tobytes() == want[2].tobytes()
+        if distill or fill:
+            assert got[2].tobytes() == np.exp(nn.log_softmax(logits[idx])).tobytes()
         else:
-            assert got[2] is None and want[2] is None
+            assert got[2] is None
 
 
 @settings(deadline=None, max_examples=100)
@@ -216,9 +220,10 @@ def test_trainer_loss_kernel_matches_the_per_batch_chain_bytewise(
     b=st.integers(min_value=1, max_value=9),
     cll=st.booleans(),
     distill=st.booleans(),
+    fill=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_step_kernels_leave_their_inputs_alone(sizes, classes, b, cll, distill, seed):
+def test_step_kernels_leave_their_inputs_alone(sizes, classes, b, cll, distill, fill, seed):
     """The trainer's per-step kernels write in place only into arrays
     they allocated: every input's bytes survive, one-row batches too."""
     rng = np.random.default_rng(seed)
@@ -253,5 +258,5 @@ def test_step_kernels_leave_their_inputs_alone(sizes, classes, b, cll, distill, 
         kd = (teacher, psd._neg_entropy(teacher))
         inputs.extend(kd)
     before = frozen(*inputs)
-    psd._batch_loss(logits, labels, np.arange(b), onehots, log_prior, kd)
+    psd._batch_loss(logits, labels, np.arange(b), onehots, log_prior, kd, fill)
     assert frozen(*inputs) == before

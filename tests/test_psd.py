@@ -166,6 +166,8 @@ class TestCalibratedCE:
             calibrated_ce_loss(np.zeros(2), 0, np.array([np.nan, 0.5]))
         with pytest.raises(ContractViolation):
             balanced_prediction(np.zeros(2), np.array([np.nan, np.nan]))
+        with pytest.raises(ContractViolation, match="log_prior must be a finite vector"):
+            psd.local_loss(np.zeros((3, 4)), np.zeros(3, dtype=np.int64), np.array([np.nan, 0, 0, 0]))
 
     def test_zero_prior_rejected(self):
         with pytest.raises(ContractViolation):
@@ -182,6 +184,11 @@ class TestCalibratedCE:
             calibrated_ce_loss(logits, labels, prior)
         with pytest.raises(ContractViolation, match=f"prior of length {length} does not match"):
             balanced_prediction(logits, prior)
+        if logits.ndim == 2:
+            # A log prior of the logits' own shape would broadcast too.
+            for log_prior in (np.log(prior), np.zeros(logits.shape)):
+                with pytest.raises(ContractViolation, match="finite vector of length 3"):
+                    psd.local_loss(logits, labels, log_prior)
 
 
 class TestBalancedPrediction:
@@ -275,6 +282,11 @@ class TestKDLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
             psd_kd_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
+        # A (1, 4) teacher would broadcast over the batch.
+        for shape in ((1, 4), (3, 5)):
+            teacher = np.full(shape, 1.0 / shape[1])
+            with pytest.raises(ContractViolation, match="teacher shape"):
+                psd.local_loss(np.zeros((3, 4)), np.zeros(3, dtype=np.int64), teacher=teacher)
 
     # KL(p || q) itself: log q is a logit vector whose softmax is q.
     def test_kl_identical_is_zero(self):
@@ -305,6 +317,8 @@ class TestKDLoss:
             psd_kd_loss(np.array([np.nan, np.nan]), np.log([0.5, 0.5]))
         with pytest.raises(ContractViolation):
             psd_kd_loss(np.array([[0.5, 0.5], [np.nan, 0.5]]), np.zeros((2, 2)))
+        with pytest.raises(ContractViolation):
+            psd.local_loss(np.zeros((2, 2)), [0, 1], teacher=np.array([[0.5, 0.5], [np.nan, 0.5]]))
 
     def test_teacher_domain_violations(self):
         with pytest.raises(ContractViolation):
@@ -313,6 +327,10 @@ class TestKDLoss:
             psd_kd_loss(np.array([1.2, -0.2]), np.log([0.5, 0.5]))
         with pytest.raises(ContractViolation):
             psd_kd_loss(np.array([0.5, 0.5]), np.log([1.0 / 3] * 3))
+        teacher = np.full((3, 4), 0.25)
+        teacher[1] = [1.5, -0.5, 0.0, 0.0]
+        with pytest.raises(ContractViolation, match="probability vectors"):
+            psd.local_loss(np.zeros((3, 4)), np.zeros(3, dtype=np.int64), teacher=teacher)
 
 
 def _client_data(seed=0, classes=4, dim=8, per_class=30, spread=0.3):
@@ -325,9 +343,8 @@ class TestProximalTerm:
         anchor = init_model([3, 4, 2], seed=2)
         loss, grads = psd.proximal_term(params, anchor, 0.5)
         diff = [p - a for p, a in zip(params.arrays(), anchor.arrays())]
-        # Summed array by array, as the trainer sums it; one sum over
-        # the whole vector rounds differently for these two models.
-        assert loss == 0.5 * 0.5 * sum(float((d * d).sum()) for d in diff)
+        w = np.concatenate([d.ravel() for d in diff])
+        assert loss == 0.5 * 0.5 * float((w * w).sum())
         for got, d in zip(grads.arrays(), diff, strict=True):
             assert got.tobytes() == (0.5 * d).tobytes()
 
@@ -364,7 +381,7 @@ class TestLocalTrainer:
         for a, b in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
         assert h2 is None
-        assert np.array_equal(h1, softmax(forward(p2, ds.features)))
+        assert np.array_equal(h1, np.exp(nn.log_softmax(forward(p2, ds.features))))
 
     def test_history_shape_and_round(self):
         ds = _client_data()
@@ -378,8 +395,8 @@ class TestLocalTrainer:
         )
         assert hist.shape == (ds.num_samples, 4)
         assert np.abs(hist.sum(axis=1) - 1.0).max() < 1e-9
-        # history equals the trained model's softmax over the local set
-        assert np.array_equal(hist, softmax(forward(params, ds.features)))
+        # history equals the trained model's probabilities over the local set
+        assert np.array_equal(hist, np.exp(nn.log_softmax(forward(params, ds.features))))
         assert len(losses) == 2 * math.ceil(ds.num_samples / 32)
 
     def test_mismatched_history_rejected(self):
