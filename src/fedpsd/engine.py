@@ -10,15 +10,27 @@ sampled order, so results never depend on where a client trained. The
 clients train on the server's ``WorkerPool`` of min(workers, ceil(C*K),
 usable cpus) workers: with one, in the calling process; with more, in
 forked worker processes (POSIX ``fork`` only), forked when the first
-round trains and reaped when the run ends. Either way each client
-yields the same ``ModelParams``, history, losses and accuracy; its
+round trains and reaped when the run ends. A job is a client id and
+whether the client has a history; a result is the client's
+``ModelParams``, losses and accuracy, the same wherever it trained. Its
 trainer derives the round's lr and the client's class prior itself.
-``run_ablation`` runs the four FedPSD component rows of one config.
+Under fedpsd with rhpk, every client's history lives in one anonymous
+shared mapping, allocated before any worker forks: whoever trains a
+client reads its teacher from the client's slot and writes the new
+history back in place, so no history is pickled and, above one worker,
+the run process never touches a slot's pages. A run holds the loaded
+OpenBLAS at one thread (``pin_blas_threads``), so its bits do not
+depend on the machine's thread default. ``run_ablation`` runs the four
+FedPSD component rows of one config.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import mmap
 import os
 import pickle
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO
@@ -57,9 +69,10 @@ from .nn import (
 )
 from .psd import local_train_fedpsd
 
-# What training one client yields: its parameters, its new history (None
-# unless rhpk reads it), its per-batch losses and its local-test accuracy.
-ClientResult = tuple[ModelParams, np.ndarray | None, list[float], float]
+# What training one client yields: its parameters, its per-batch losses
+# and its local-test accuracy. Its new history, under rhpk, is already
+# in its slot.
+ClientResult = tuple[ModelParams, list[float], float]
 
 
 @dataclass
@@ -73,6 +86,9 @@ class ServerState:
 class ClientState:
     client_id: int
     partition: ClientPartition
+    # None until the client first trains under rhpk; then a view of its
+    # slot in the pool's shared history mapping, overwritten in place
+    # each time the client trains again.
     history: np.ndarray | None = None
     # Local-test accuracy of the model the client trained when it was
     # last sampled; None until then.
@@ -174,6 +190,82 @@ def worker_count(cfg: ExperimentConfig) -> int:
     return min(cfg.workers, clients_per_round(cfg.num_clients, cfg.fraction), cpus)
 
 
+# (setter, getter) of the OpenBLAS thread count: numpy's bundled
+# scipy-openblas with 64-bit integers, then other builds' names.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """The loaded OpenBLAS's thread-count (setter, getter), looked up in
+    the libraries mapped into this process whose path holds "blas" (a
+    distribution's OpenBLAS may be named libblas.so.3), then in the
+    global namespace; None, with one warning that names the BLAS build,
+    when no known symbol is loaded (MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            text = maps.read()
+    except OSError:  # no /proc: only the global namespace
+        text = ""
+    # Only a line with a path can hold "blas"; a library maps several.
+    libraries = dict.fromkeys(
+        line.split(maxsplit=5)[5] for line in text.splitlines() if "blas" in line.lower()
+    )
+    for path in [*libraries, None]:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, set_name) and hasattr(library, get_name):
+                setter, getter = getattr(library, set_name), getattr(library, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    warnings.warn(
+        f"no OpenBLAS thread control found in numpy {np.__version__}'s BLAS "
+        f"({blas.get('name', '?')} {blas.get('version', '?')}); its thread count is "
+        "left as it is, and image-scale raw bits may depend on it",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return None
+
+
+def pin_blas_threads(count: int) -> int | None:
+    """Set the loaded OpenBLAS to ``count`` threads and return the count it
+    had; None, changing nothing, when no known OpenBLAS is loaded.
+
+    A run pins one thread: a 784-wide product's last bits differ between
+    one and two OpenBLAS threads, and each worker trains on one core.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        return None
+    setter, getter = threads
+    previous = getter()
+    setter(count)
+    return previous
+
+
+def _history_slots(clients: dict[int, ClientState], num_classes: int) -> dict[int, np.ndarray]:
+    """One contiguous (n_k, L) float64 slot per client, in client-id
+    order, in one anonymous shared mapping. Forked workers share its
+    pages, and none is touched here: the kernel zero-fills a page when
+    it is first read or written."""
+    ids = sorted(clients)
+    sizes = [clients[cid].partition.n_k for cid in ids]
+    buffer = mmap.mmap(-1, sum(sizes) * num_classes * np.dtype(np.float64).itemsize)
+    rows = np.frombuffer(buffer, dtype=np.float64).reshape(-1, num_classes)
+    return dict(zip(ids, np.split(rows, np.cumsum(sizes)[:-1])))
+
+
 class WorkerPool:
     """The one place a round's clients train, each by ``_train``: its
     local update, then its local-test accuracy.
@@ -182,15 +274,23 @@ class WorkerPool:
     or pickle. Above it, ``size`` worker processes (POSIX ``fork`` only)
     are forked on the first ``train`` call, from the process that holds
     the train and test sets and every client's partition, so none of
-    that is sent; the calling process trains no client. Each round a
-    worker receives the global ``ModelParams``, the round and the id and
-    history (or None) of every size-th sampled client (all clients of a
-    run have the same n_k, so dealing in turn balances the work), and
-    replies with each one's ``ClientResult`` or with the exception that
-    stopped it; all replies are read before the first exception is
-    raised, so none is left for the next round. Both ends of each pipe
-    are this module's, so the pickles read are only ones it wrote.
-    ``close`` reaps the workers.
+    that is sent; the calling process trains no client. Each worker
+    pins OpenBLAS to one thread. Each round a worker receives the global
+    ``ModelParams``, the round and, for every size-th sampled client
+    (all clients of a run have the same n_k, so dealing in turn balances
+    the work), its id and whether it has a history; it replies with each
+    one's ``ClientResult`` or with the exception that stopped it. All
+    replies are read before the first exception is raised, so none is
+    left for the next round. Both ends of each pipe are this module's,
+    so the pickles read are only ones it wrote. ``close`` reaps the
+    workers.
+
+    Under fedpsd with rhpk, ``histories`` maps each client id to its
+    slot in one shared mapping that the pool allocates before it forks
+    (else it is None). Whoever trains a client, this process at
+    ``size`` 1 and a worker above it, reads the client's teacher from
+    its slot and copies the new history into it, so neither a job nor a
+    reply carries a history.
     """
 
     def __init__(
@@ -203,6 +303,11 @@ class WorkerPool:
     ) -> None:
         self.size = size
         self._state = (train, test, clients, cfg)
+        self.histories = (
+            _history_slots(clients, train.num_classes)
+            if cfg.algorithm == "fedpsd" and cfg.rhpk
+            else None
+        )
         self._workers: list[tuple[int, BinaryIO, BinaryIO]] = []  # (pid, requests, replies)
 
     def _fork(self) -> None:
@@ -227,6 +332,7 @@ class WorkerPool:
                     for _, requests, replies in self._workers:
                         os.close(requests.fileno())
                         os.close(replies.fileno())
+                    pin_blas_threads(1)
                     self._serve(requests_r, replies_w)
                     status = 0
                 finally:
@@ -236,15 +342,19 @@ class WorkerPool:
             self._workers.append((pid, open(requests_w, "wb"), open(replies_r, "rb")))
 
     def _train(self, global_params: ModelParams, round_t: int, jobs) -> list[ClientResult]:
-        """Train each ``(client id, history)`` job from ``global_params``."""
+        """Train each ``(client id, has history)`` job from ``global_params``;
+        a client's new history overwrites its slot."""
         train, test, clients, cfg = self._state
         results = []
-        for cid, history in jobs:
+        for cid, has_history in jobs:
             client = clients[cid]
-            params, new_history, losses = _train_one(
-                global_params, round_t, client, history, train, cfg
+            slot = None if self.histories is None else self.histories[cid]
+            params, history, losses = _train_one(
+                global_params, round_t, client, slot if has_history else None, train, cfg
             )
-            results.append((params, new_history, losses, _local_accuracy(params, client, test)))
+            if history is not None:
+                slot[...] = history
+            results.append((params, losses, _local_accuracy(params, client, test)))
         return results
 
     def _serve(self, requests_fd: int, replies_fd: int) -> None:
@@ -268,7 +378,7 @@ class WorkerPool:
         self, global_params: ModelParams, round_t: int, sampled: list[ClientState]
     ) -> list[ClientResult]:
         """Train ``sampled`` from ``global_params``; results in ``sampled`` order."""
-        jobs = [(client.client_id, client.history) for client in sampled]
+        jobs = [(client.client_id, client.history is not None) for client in sampled]
         if self.size == 1:
             return self._train(global_params, round_t, jobs)
         if not self._workers:
@@ -321,17 +431,18 @@ def run_round(
     t = server.round
     sampled = sample_clients(cfg.num_clients, cfg.fraction, t, cfg.seed)
     results = server.workers.train(server.global_params, t, [clients[cid] for cid in sampled])
+    histories = server.workers.histories
 
     accuracies: list[float] = []
     traces: list[list[float]] = []
     updates: list[tuple[ModelParams, int]] = []
-    for cid, (params, history, losses, accuracy) in zip(sampled, results):
+    for cid, (params, losses, accuracy) in zip(sampled, results):
         client = clients[cid]
         accuracies.append(accuracy)
         traces.append(losses)
         updates.append((params, client.partition.n_k))
-        if history is not None:
-            client.history = history
+        if histories is not None:
+            client.history = histories[cid]
         client.last_accuracy = accuracy
 
     server.global_params = aggregate(updates, client_ids=sampled)
@@ -431,11 +542,14 @@ def run_experiment(
     ``round_callback(record)`` fires after each round and
     ``sweep_callback(record)`` after each all-client sweep, for
     incremental output. Rounds in the returned series are 1-indexed.
+    The rounds run with the loaded OpenBLAS at one thread; it gets its
+    old count back when they end.
     """
     train, test = _load_dataset_pair(cfg)
     server, clients = build_federation(cfg, train, test)
     rounds: list[RoundRecord] = []
     sweeps: list[SweepRecord] = []
+    restore = pin_blas_threads(1)
     try:
         for _ in range(cfg.t_total):
             report = run_round(server, clients, train, test, cfg)
@@ -458,6 +572,8 @@ def run_experiment(
                     sweep_callback(sweep)
     finally:
         server.workers.close()
+        if restore is not None:
+            pin_blas_threads(restore)
     return MetricsSeries(rounds=rounds, sweeps=sweeps)
 
 

@@ -1,6 +1,7 @@
 """Metrics records, CSV emission, and the rounds-to-target summary."""
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -124,15 +125,19 @@ def _parse_row(line: str) -> RoundRecord:
         value = getattr(record, name)
         if not 0.0 <= value <= 1.0:  # also false for NaN
             raise ValueError(f"{name} must be a finite value in [0, 1], got {value}")
+    if not (math.isfinite(record.mean_local_loss) and record.mean_local_loss >= 0.0):
+        raise ValueError(f"mean_local_loss must be a finite value >= 0, got {record.mean_local_loss}")
     return record
 
 
 def load_metrics(path) -> MetricsSeries:
     """Parse a CSV produced by emit_metrics (sweeps are not stored there).
 
-    A row with the wrong field count, a non-numeric field, or an
-    accuracy that is not finite or lies outside [0, 1] raises
-    ValueError naming the file and its 1-based line.
+    A row with the wrong field count, a non-numeric field, an accuracy
+    that is not finite or lies outside [0, 1], a mean local loss that is
+    not finite or is negative, or a round other than the one after the
+    previous row's (rows count 1, 2, ...) raises ValueError naming the
+    file and its 1-based line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [
@@ -145,9 +150,12 @@ def load_metrics(path) -> MetricsSeries:
     rounds = []
     for lineno, line in lines[1:]:
         try:
-            rounds.append(_parse_row(line))
+            record = _parse_row(line)
+            if record.round != len(rounds) + 1:
+                raise ValueError(f"expected round {len(rounds) + 1}, got {record.round}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        rounds.append(record)
     return MetricsSeries(rounds=rounds)
 
 

@@ -219,14 +219,6 @@ def _backprop_from_acts(
     return grads
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax along the last axis, through log-sum-exp for stability.
     Writes into one new array; ``logits`` is only read."""

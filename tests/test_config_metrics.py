@@ -292,8 +292,17 @@ class TestMetrics:
             ("2,0.5,nan,1.0,1", "server_top1 must be a finite value in \\[0, 1\\]"),
             ("2,1.5,0.4,1.0,1", "avg_client_top1 must be a finite value"),
             ("2,-inf,0.4,1.0,1", "avg_client_top1 must be a finite value"),
+            ("2,0.5,0.4,nan,1", "mean_local_loss must be a finite value >= 0, got nan"),
+            ("2,0.5,0.4,-0.5,1", "mean_local_loss must be a finite value >= 0, got -0.5"),
+            ("2,0.5,0.4,inf,1", "mean_local_loss must be a finite value >= 0, got inf"),
+            ("3,0.5,0.4,1.0,1", "expected round 2, got 3"),
+            ("1,0.5,0.4,1.0,1", "expected round 2, got 1"),
         ],
-        ids=["short", "text_accuracy", "text_client_id", "nan_accuracy", "accuracy_above_one", "minus_inf"],
+        ids=[
+            "short", "text_accuracy", "text_client_id", "nan_accuracy", "accuracy_above_one",
+            "minus_inf", "nan_loss", "negative_loss", "infinite_loss", "skipped_round",
+            "repeated_round",
+        ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, problem):
         path = tmp_path / "m.csv"

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +30,7 @@ from fedpsd.metrics import format_round
 from fedpsd.nn import (
     EVAL_BLOCK_ROWS,
     ContractViolation,
+    ModelParams,
     forward,
     init_model,
     log_softmax,
@@ -389,7 +391,11 @@ class TestFedPSDReference:
         train, test, server, clients = _federation(cfg)
         for t in range(3):
             global_params = server.global_params
-            before = {cid: client.history for cid, client in clients.items()}
+            # A copy: training overwrites a client's history in place.
+            before = {
+                cid: None if client.history is None else client.history.copy()
+                for cid, client in clients.items()
+            }
             report = run_round(server, clients, train, test, cfg)
             for cid, (params, _), losses in zip(report.sampled, aggregated[-1], report.loss_traces):
                 idx = clients[cid].partition.train_indices
@@ -476,6 +482,24 @@ def worker_log(monkeypatch):
     return log
 
 
+def _resident_kib(view):
+    """This process's resident KiB of the mapping that holds ``view``, from
+    /proc/self/smaps; a page counts once this process has read or
+    written it."""
+    if not os.path.exists("/proc/self/smaps"):
+        pytest.skip("no /proc/self/smaps")
+    address = view.__array_interface__["data"][0]
+    inside = False
+    with open("/proc/self/smaps", encoding="utf-8") as smaps:
+        for line in smaps:
+            span = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+            if span:
+                inside = int(span[1], 16) <= address < int(span[2], 16)
+            elif inside and line.startswith("Rss:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no mapping holds address {address:#x}")
+
+
 def _one_round(cfg):
     train, test, server, clients = _federation(cfg)
     return run_round(server, clients, train, test, cfg), server
@@ -508,13 +532,54 @@ class TestWorkerPool:
         train, test, alone, alone_clients = _federation(dataclasses.replace(cfg, workers=1))
         _, _, pooled, pooled_clients = _federation(cfg)
         try:
-            for _ in range(2):  # round 2 sends the workers round 1's histories
+            for _ in range(2):  # round 2's teachers are round 1's histories
                 expected = run_round(alone, alone_clients, train, test, cfg)
                 assert run_round(pooled, pooled_clients, train, test, cfg) == expected
                 assert pooled.global_params.flat.tobytes() == alone.global_params.flat.tobytes()
         finally:
             pooled.workers.close()
         assert len(worker_log.forks) == 2
+        # The workers wrote every history; this process has not yet read
+        # or written a page of the shared mapping.
+        assert _resident_kib(pooled.workers.histories[0]) == 0
+        for cid, client in pooled_clients.items():
+            assert client.history is pooled.workers.histories[cid]
+            assert client.history.tobytes() == alone_clients[cid].history.tobytes(), cid
+
+    def test_requests_and_replies_carry_no_array_but_model_parameters(self, monkeypatch):
+        cfg = _small_cfg(num_clients=4, fraction=1.0, algorithm="fedpsd", workers=2)
+        sent, received = [], []
+        real_dump, real_load = engine.pickle.dump, engine.pickle.load
+
+        def dump(obj, *args):
+            sent.append(obj)
+            return real_dump(obj, *args)
+
+        def load(*args):
+            received.append(real_load(*args))
+            return received[-1]
+
+        monkeypatch.setattr(engine.pickle, "dump", dump)
+        monkeypatch.setattr(engine.pickle, "load", load)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        train, test, server, clients = _federation(cfg)
+        try:
+            for _ in range(2):  # every client has a history in round 2
+                run_round(server, clients, train, test, cfg)
+        finally:
+            server.workers.close()
+        assert len(sent) == len(received) == 4
+        assert [jobs for _, t, jobs in sent if t == 1] == [[(0, True), (2, True)], [(1, True), (3, True)]]
+
+        def stray_arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return 1
+            if isinstance(obj, (tuple, list)):
+                return sum(stray_arrays(item) for item in obj)
+            return 0  # a ModelParams, or a scalar
+
+        assert all(isinstance(params, ModelParams) for reply in received for params, _, _ in reply)
+        assert stray_arrays(sent) == stray_arrays(received) == 0
 
     @pytest.mark.parametrize(
         "workers, fraction, cpus, expected",
@@ -572,29 +637,32 @@ class TestWorkers:
         assert worker_log.trained == []  # raised where the clients trained
 
     def test_pool_stays_in_step_after_a_worker_error(self, worker_log):
-        # Client 0, dealt to worker 0, brings a malformed history, so
-        # worker 0 replies with an error while worker 1 trains clients 1
-        # and 3. The next call must get its own results from both workers,
-        # not worker 1's reply to the failed call.
+        # Client 0, dealt to worker 0, has a history, and its shared slot
+        # holds rows that are no probabilities, so worker 0 replies with
+        # an error while worker 1 trains clients 1 and 3. The next call
+        # must get its own results from both workers, not worker 1's
+        # reply to the failed call.
         cfg = _small_cfg(num_clients=4, fraction=1.0, algorithm="fedpsd", workers=2)
         train, test, server, clients = _federation(cfg)
         sampled = [clients[cid] for cid in range(4)]
         pool = server.workers
         try:
-            clients[0].history = np.full((3, 4), 0.25)
-            with pytest.raises(ContractViolation, match="client 0 history shape"):
+            clients[0].history = pool.histories[0]
+            clients[0].history[:] = -1.0
+            with pytest.raises(ContractViolation, match="history rows must be probability vectors"):
                 pool.train(server.global_params, 0, sampled)
             clients[0].history = None
             got = pool.train(server.global_params, 1, sampled)
         finally:
             pool.close()
         assert len(worker_log.forks) == 2
-        want = engine.WorkerPool(1, train, test, clients, cfg).train(server.global_params, 1, sampled)
+        alone = engine.WorkerPool(1, train, test, clients, cfg)
+        want = alone.train(server.global_params, 1, sampled)
         assert len(got) == len(want) == 4
-        for (params, history, losses, accuracy), expected in zip(got, want):
+        for cid, (params, losses, accuracy), expected in zip(range(4), got, want):
             assert params.flat.tobytes() == expected[0].flat.tobytes()
-            assert history.tobytes() == expected[1].tobytes()
-            assert (losses, accuracy) == (expected[2], expected[3])
+            assert (losses, accuracy) == (expected[1], expected[2])
+            assert pool.histories[cid].tobytes() == alone.histories[cid].tobytes()
 
     def test_unsmoothed_prior_error_is_relayed_from_a_worker(self, worker_log):
         # Sharded clients miss classes, so the prior a client's trainer
@@ -672,6 +740,117 @@ def test_a_pooled_run_imports_no_multiprocessing_module():
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert out.stdout == "2 []\n"
+
+
+def _blas_getter():
+    threads = engine._openblas_threads()
+    if threads is None:
+        pytest.skip("this BLAS build has no known OpenBLAS thread control")
+    return threads[1]
+
+
+# Two fedpsd rounds of a 784-128-10 model on pixel clients; prints the
+# sha256 of the global parameters and of every history after each round,
+# at workers 1 and then 2.
+_RAW_BITS_RUN = """\
+import hashlib, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from fedpsd import engine
+from fedpsd.config import ExperimentConfig
+real_round, digests = engine.run_round, []
+def hashed_round(server, clients, *args):
+    report = real_round(server, clients, *args)
+    digests[-1].update(server.global_params.flat.tobytes())
+    for _, client in sorted(clients.items()):
+        digests[-1].update(b"none" if client.history is None else client.history.tobytes())
+    return report
+engine.run_round = hashed_round
+for workers in (1, 2):
+    digests.append(hashlib.sha256())
+    engine.run_experiment(ExperimentConfig(
+        dataset="mnist", mnist_dir=sys.argv[1], algorithm="fedpsd", num_clients=4,
+        fraction=1.0, t_total=2, epochs=2, batch_size=50, hidden=(128,), test_budget=20,
+        sweep_every=0, workers=workers,
+    ))
+print(*(d.hexdigest() for d in digests))
+"""
+
+
+class TestBlasThreads:
+    def test_a_run_holds_one_thread_then_restores_the_count(self, monkeypatch):
+        getter, seen = _blas_getter(), []
+        real = engine._train_one
+
+        def spy(*args):
+            seen.append(getter())
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_train_one", spy)
+        restore = engine.pin_blas_threads(2)
+        try:
+            run_experiment(_small_cfg(t_total=2))
+            after = getter()
+        finally:
+            engine.pin_blas_threads(restore)
+        assert seen and set(seen) == {1}
+        assert after == 2
+
+    def test_a_forked_worker_runs_one_thread(self, worker_log, monkeypatch):
+        # The pool pins its workers itself: this process runs two
+        # threads when they fork, and no run_experiment pinned them.
+        getter, real = _blas_getter(), engine._train_one
+
+        def report_threads(*args):
+            params, history, _ = real(*args)
+            return params, history, [float(getter())]
+
+        monkeypatch.setattr(engine, "_train_one", report_threads)
+        cfg = _small_cfg(workers=2, fraction=1.0)
+        train, test, server, clients = _federation(cfg)
+        restore = engine.pin_blas_threads(2)
+        try:
+            results = server.workers.train(server.global_params, 0, list(clients.values()))
+            assert getter() == 2
+        finally:
+            server.workers.close()
+            engine.pin_blas_threads(restore)
+        assert len(worker_log.forks) == 2
+        assert [losses for _, losses, _ in results] == [[1.0]] * len(clients)
+
+    def test_raw_bits_do_not_depend_on_the_thread_default(self, tmp_path):
+        # A 784-wide product's last bits differ between one and two
+        # OpenBLAS threads; a run pins one, in this process and in each
+        # worker, whatever OPENBLAS_NUM_THREADS says.
+        _blas_getter()
+        rng = np.random.default_rng(3)
+        for n, prefix in ((400, "train"), (100, "t10k")):
+            split = LabeledDataset(rng.integers(0, 256, (n, 784)) / 255.0, np.arange(n) % 10, 10)
+            images, labels = save_idx(split, rows=28, cols=28)
+            (tmp_path / f"{prefix}-images-idx3-ubyte").write_bytes(images)
+            (tmp_path / f"{prefix}-labels-idx1-ubyte").write_bytes(labels)
+        src = os.path.dirname(os.path.dirname(engine.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = {
+            threads: subprocess.run(
+                [sys.executable, "-c", _RAW_BITS_RUN, str(tmp_path)], capture_output=True,
+                text=True, check=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout.split()
+            for threads in ("1", "2")
+        }
+        assert len(set(outputs["1"] + outputs["2"])) == 1, outputs
+
+    def test_a_build_without_thread_control_warns_once(self, monkeypatch):
+        monkeypatch.setattr(engine, "_OPENBLAS_THREAD_SYMBOLS", (("no_such_set", "no_such_get"),))
+        engine._openblas_threads.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match=r"no OpenBLAS thread control found in numpy .*BLAS"):
+                assert engine.pin_blas_threads(1) is None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert engine.pin_blas_threads(1) is None
+        finally:
+            engine._openblas_threads.cache_clear()
 
 
 class TestRunExperiment:

@@ -20,10 +20,10 @@ from fedpsd.nn import (
     forward,
     init_model,
     init_optimizer,
+    log_softmax,
     one_hot,
     row_blocks,
     sgd_step,
-    softmax,
     softmax_ce,
     top1_accuracy,
 )
@@ -210,28 +210,29 @@ class TestModelParams:
 
 
 class TestSoftmax:
+    # The one form in which the package builds probabilities.
     def test_symmetry(self):
-        assert np.allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
+        assert np.allclose(np.exp(log_softmax(np.array([0.0, 0.0]))), [0.5, 0.5], atol=1e-15)
 
     def test_constant_vector(self):
-        out = softmax(np.full(4, 3.7))
+        out = np.exp(log_softmax(np.full(4, 3.7)))
         assert np.allclose(out, [0.25] * 4, atol=1e-15)
 
     def test_log_ratio_vector(self):
         # e^{ln 1} : e^{ln 3} = 1 : 3.
-        out = softmax(np.array([math.log(1.0), math.log(3.0)]))
+        out = np.exp(log_softmax(np.array([math.log(1.0), math.log(3.0)])))
         assert np.allclose(out, [0.25, 0.75], atol=1e-12)
 
     def test_sums_and_shift_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             v = rng.standard_normal(rng.integers(2, 12)) * 10
-            s = softmax(v)
+            s = np.exp(log_softmax(v))
             assert abs(s.sum() - 1.0) < 1e-12
-            assert np.abs(softmax(v + 37.5) - s).max() < 1e-12
+            assert np.abs(np.exp(log_softmax(v + 37.5)) - s).max() < 1e-12
 
     def test_extreme_logits_stable(self):
-        s = softmax(np.array([1000.0, 0.0]))
+        s = np.exp(log_softmax(np.array([1000.0, 0.0])))
         assert np.isfinite(s).all() and abs(s.sum() - 1.0) < 1e-12
 
 

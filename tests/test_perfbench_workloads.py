@@ -10,10 +10,16 @@ workload cannot leave one side unmeasured. No experiment runs.
 
 It also renders a tiny split with ``perfbench/inputs.py`` (imported,
 never edited) and checks that ``load_idx_files`` reads it back
-pixel-backed, with rows equal to the float64 conversion.
+pixel-backed, with rows equal to the float64 conversion. Last, it runs
+``perfbench/child.py --trace`` on one-round configs of a calling-process
+workload and a worker workload, so a change to the engine that the
+benchmark's runner no longer drives fails here, not in the benchmark.
 """
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +33,18 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 POOLED = {"image_fedpsd": True, "desk_fedpsd": False, "many_clients_fedprox": True}
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _load(name: str):
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))  # run.py imports its sibling modules
-        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("run").WORKLOADS
 
 
 def test_every_workload_is_classified(workloads):
@@ -61,3 +71,24 @@ def test_rendered_inputs_read_back_pixel_backed(tmp_path):
     assert ds.pixels and ds.values.shape == (30, 784)
     assert np.array_equal(np.bincount(ds.labels), [3] * 10)
     assert ds.rows().tobytes() == (ds.values.astype(np.float64) / 255.0).tobytes()
+
+
+# desk_fedpsd trains in the calling process; many_clients_fedprox on two
+# forked workers where two cpus are usable.
+@pytest.mark.parametrize("name", ["desk_fedpsd", "many_clients_fedprox"])
+def test_child_runs_a_traced_round(workloads, name, tmp_path):
+    template, _, _ = workloads[name]
+    config = tmp_path / "config.txt"
+    config.write_text(template.format(seed=1, rounds=1, inputs="x"), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    pinned = {var: "1" for var in _load("child").THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), str(config), str(out), "--trace"],
+        cwd=tmp_path, env={**os.environ, **pinned}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((out / "result.json").read_text(encoding="utf-8"))
+    assert len(result["round_s"]) == 1 and 0.0 < result["final_client_top1"] <= 1.0
+    spans = json.loads((out / "spans.json").read_text(encoding="utf-8"))["spans"]
+    assert [span[0] for span in spans].count("engine.run_round") == 1
