@@ -211,6 +211,8 @@ def save_idx(dataset: LabeledDataset, rows: int = 0, cols: int = 0) -> tuple[byt
     """
     if rows == 0 and cols == 0:
         rows, cols = 1, dataset.dim
+    if rows < 1 or cols < 1:
+        raise ContractViolation(f"image shape {rows}x{cols} must be positive")
     if rows * cols != dataset.dim:
         raise ContractViolation(f"{rows}x{cols} does not match feature dim {dataset.dim}")
     f = dataset.features

@@ -11,14 +11,14 @@ clients train on the server's ``WorkerPool`` of min(workers, ceil(C*K),
 usable cpus) workers: with one, in the calling process; with more, in
 forked worker processes (POSIX ``fork`` only), forked when the first
 round trains and reaped when the run ends. A job is a client id and
-whether the client has a history; a result is the client's
+whether the client has trained before; a result is the client's
 ``ModelParams``, losses and accuracy, the same wherever it trained. Its
 trainer derives the round's lr and the client's class prior itself.
-Under fedpsd with rhpk, every client's history lives in one anonymous
-shared mapping, allocated before any worker forks: whoever trains a
-client reads its teacher from the client's slot and writes the new
-history back in place, so no history is pickled and, above one worker,
-the run process never touches a slot's pages. A run holds the loaded
+Under fedpsd with rhpk, each ``ClientState`` holds its history slot in
+one anonymous shared mapping from set-up on: whoever trains a client
+reads its teacher from the slot and writes the new history back in
+place, so no history is pickled and, above one worker, the run process
+never touches a slot's pages. A run holds the loaded
 OpenBLAS at one thread (``pin_blas_threads``), so its bits do not
 depend on the machine's thread default. ``run_ablation`` runs the four
 FedPSD component rows of one config.
@@ -84,11 +84,11 @@ class ServerState:
 
 @dataclass
 class ClientState:
-    client_id: int
     partition: ClientPartition
-    # None until the client first trains under rhpk; then a view of its
-    # slot in the pool's shared history mapping, overwritten in place
-    # each time the client trains again.
+    # Under fedpsd with rhpk, the client's (n_k, L) slot in the run's one
+    # shared history mapping, from set-up on; else None. It holds the
+    # client's history once ``last_accuracy`` is set, and whoever trains
+    # the client overwrites it in place.
     history: np.ndarray | None = None
     # Local-test accuracy of the model the client trained when it was
     # last sampled; None until then.
@@ -133,6 +133,8 @@ def aggregate(updates: list[tuple[ModelParams, int]], client_ids: list[int] | No
     """Sample-size-weighted mean of client parameters."""
     if not updates:
         raise ContractViolation("aggregate needs at least one update")
+    if client_ids is not None and len(client_ids) != len(updates):
+        raise ContractViolation(f"{len(client_ids)} client ids for {len(updates)} updates")
     names = client_ids if client_ids is not None else list(range(len(updates)))
     reference = updates[0][0]
     ref_shapes = [a.shape for a in reference.arrays()]
@@ -166,7 +168,7 @@ def _train_one(
     idx = client.partition.train_indices
     return local_train_fedpsd(
         global_params, RowView(train, idx), train.labels[idx],
-        history, client.client_id, round_t, cfg,
+        history, client.partition.client_id, round_t, cfg,
     )
 
 
@@ -254,16 +256,14 @@ def pin_blas_threads(count: int) -> int | None:
     return previous
 
 
-def _history_slots(clients: dict[int, ClientState], num_classes: int) -> dict[int, np.ndarray]:
-    """One contiguous (n_k, L) float64 slot per client, in client-id
+def _history_slots(sizes: list[int], num_classes: int) -> list[np.ndarray]:
+    """One contiguous (n, L) float64 slot per entry of ``sizes``, in
     order, in one anonymous shared mapping. Forked workers share its
     pages, and none is touched here: the kernel zero-fills a page when
     it is first read or written."""
-    ids = sorted(clients)
-    sizes = [clients[cid].partition.n_k for cid in ids]
     buffer = mmap.mmap(-1, sum(sizes) * num_classes * np.dtype(np.float64).itemsize)
     rows = np.frombuffer(buffer, dtype=np.float64).reshape(-1, num_classes)
-    return dict(zip(ids, np.split(rows, np.cumsum(sizes)[:-1])))
+    return np.split(rows, np.cumsum(sizes)[:-1])
 
 
 class WorkerPool:
@@ -285,12 +285,11 @@ class WorkerPool:
     so the pickles read are only ones it wrote. ``close`` reaps the
     workers.
 
-    Under fedpsd with rhpk, ``histories`` maps each client id to its
-    slot in one shared mapping that the pool allocates before it forks
-    (else it is None). Whoever trains a client, this process at
-    ``size`` 1 and a worker above it, reads the client's teacher from
-    its slot and copies the new history into it, so neither a job nor a
-    reply carries a history.
+    The pool owns no client state. A job's flag, "has a history", is the
+    calling process's ``last_accuracy is not None``: a worker's clients
+    are copies taken at fork time. Their ``history`` slots share the
+    mapping's pages, so whoever trains a client reads its teacher from
+    the slot and writes the new history into it; no job or reply carries one.
     """
 
     def __init__(
@@ -303,11 +302,6 @@ class WorkerPool:
     ) -> None:
         self.size = size
         self._state = (train, test, clients, cfg)
-        self.histories = (
-            _history_slots(clients, train.num_classes)
-            if cfg.algorithm == "fedpsd" and cfg.rhpk
-            else None
-        )
         self._workers: list[tuple[int, BinaryIO, BinaryIO]] = []  # (pid, requests, replies)
 
     def _fork(self) -> None:
@@ -348,12 +342,11 @@ class WorkerPool:
         results = []
         for cid, has_history in jobs:
             client = clients[cid]
-            slot = None if self.histories is None else self.histories[cid]
             params, history, losses = _train_one(
-                global_params, round_t, client, slot if has_history else None, train, cfg
+                global_params, round_t, client, client.history if has_history else None, train, cfg
             )
             if history is not None:
-                slot[...] = history
+                client.history[...] = history
             results.append((params, losses, _local_accuracy(params, client, test)))
         return results
 
@@ -378,7 +371,7 @@ class WorkerPool:
         self, global_params: ModelParams, round_t: int, sampled: list[ClientState]
     ) -> list[ClientResult]:
         """Train ``sampled`` from ``global_params``; results in ``sampled`` order."""
-        jobs = [(client.client_id, client.history is not None) for client in sampled]
+        jobs = [(c.partition.client_id, c.last_accuracy is not None) for c in sampled]
         if self.size == 1:
             return self._train(global_params, round_t, jobs)
         if not self._workers:
@@ -431,7 +424,6 @@ def run_round(
     t = server.round
     sampled = sample_clients(cfg.num_clients, cfg.fraction, t, cfg.seed)
     results = server.workers.train(server.global_params, t, [clients[cid] for cid in sampled])
-    histories = server.workers.histories
 
     accuracies: list[float] = []
     traces: list[list[float]] = []
@@ -441,8 +433,6 @@ def run_round(
         accuracies.append(accuracy)
         traces.append(losses)
         updates.append((params, client.partition.n_k))
-        if histories is not None:
-            client.history = histories[cid]
         client.last_accuracy = accuracy
 
     server.global_params = aggregate(updates, client_ids=sampled)
@@ -515,18 +505,20 @@ def build_federation(
     train: LabeledDataset,
     test: LabeledDataset,
 ) -> tuple[ServerState, dict[int, ClientState]]:
-    """Partition the data, assign test splits, init the model,
-    and give the server a ``WorkerPool`` of ``worker_count(cfg)``; a caller
-    that runs rounds on a ``workers`` > 1 config must close ``server.workers``."""
+    """Partition the data, assign test splits and (rhpk) history slots, init
+    the model, and give the server a ``WorkerPool`` of ``worker_count(cfg)``;
+    a caller that runs rounds on a ``workers`` > 1 config must close it."""
     if cfg.partition == "sharding":
         partitions = partition_sharding(train, cfg.shards_per_client, cfg.num_clients, cfg.seed)
     else:
         partitions = partition_dirichlet(train, cfg.dirichlet_alpha, cfg.num_clients, cfg.seed)
     test_pools = class_pools(test)
-    clients: dict[int, ClientState] = {}
     for part in partitions:
         part.test_indices = client_test_split(test_pools, part, train, cfg.seed, cfg.test_budget)
-        clients[part.client_id] = ClientState(part.client_id, part)
+    sizes = [part.n_k for part in partitions]
+    rhpk = cfg.algorithm == "fedpsd" and cfg.rhpk
+    slots = _history_slots(sizes, train.num_classes) if rhpk else [None] * len(sizes)
+    clients = {part.client_id: ClientState(part, slot) for part, slot in zip(partitions, slots)}
     layer_sizes = [train.dim, *cfg.hidden, train.num_classes]
     pool = WorkerPool(worker_count(cfg), train, test, clients, cfg)
     return ServerState(init_model(layer_sizes, cfg.seed), 0, pool), clients

@@ -240,6 +240,8 @@ def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ContractViolation(f"labels must be 1-D, got shape {labels.shape}")
     _check_label_range(labels, num_classes)
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0

@@ -327,7 +327,8 @@ def local_train_fedpsd(
             f"client {client_id} history shape {np.shape(history)} does not match "
             f"({n}, {num_classes}); partitions must stay fixed across rounds"
         )
-    history = _check_prob_rows(history, "history") if rhpk and history is not None else None
+    if history is not None:
+        history = _check_prob_rows(history, f"client {client_id} history") if rhpk else None
     cache = np.empty((n, num_classes)) if fedpsd and cfg.psd else None
     epoch_cache = None if cache is None else np.empty_like(cache)
     rows = np.arange(min(n, cfg.batch_size))

@@ -154,6 +154,13 @@ class TestIdx:
         with pytest.raises(ContractViolation, match="2x2 does not match feature dim 6"):
             save_idx(ds, rows=2, cols=2)
 
+    @pytest.mark.parametrize("rows, cols", [(-1, -4), (-2, -2), (0, 4), (4, 0)])
+    def test_save_rejects_non_positive_image_shape(self, rows, cols):
+        # (-1, -4) matches the dim 4 and would reach struct.pack.
+        ds = LabeledDataset(np.zeros((2, 4)), np.array([0, 1]), num_classes=2)
+        with pytest.raises(ContractViolation, match=f"{rows}x{cols} must be positive"):
+            save_idx(ds, rows=rows, cols=cols)
+
     def test_save_rejects_nan_features(self):
         # NaN fails every comparison, so a min/max check would pass it and
         # the cast would write it as pixel 0.

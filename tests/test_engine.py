@@ -119,6 +119,14 @@ class TestAggregate:
         with pytest.raises(ContractViolation, match=f"client 9 reports non-positive sample count {n_k}"):
             aggregate([(model, 10), (model, n_k)], client_ids=[4, 9])
 
+    @pytest.mark.parametrize("client_ids", [[7], [7, 8, 9]])
+    def test_client_ids_of_the_wrong_length_rejected(self, client_ids):
+        # zip would stop at the shorter list: [7] would check b against
+        # nothing and sum two weights of 1.
+        a, b = init_model([3, 4, 2], seed=0), init_model([3, 4, 2], seed=1)
+        with pytest.raises(ContractViolation, match=f"{len(client_ids)} client ids for 2 updates"):
+            aggregate([(a, 10), (b, 10)], client_ids=client_ids)
+
 
 class TestLrSchedule:
     def test_values(self):
@@ -391,9 +399,12 @@ class TestFedPSDReference:
         train, test, server, clients = _federation(cfg)
         for t in range(3):
             global_params = server.global_params
-            # A copy: training overwrites a client's history in place.
+            # A copy: training overwrites a client's history in place. Its
+            # slot holds one once the client has trained.
             before = {
-                cid: None if client.history is None else client.history.copy()
+                cid: client.history.copy()
+                if cfg.rhpk and client.last_accuracy is not None
+                else None
                 for cid, client in clients.items()
             }
             report = run_round(server, clients, train, test, cfg)
@@ -473,7 +484,7 @@ def worker_log(monkeypatch):
         return pid
 
     def train_one(global_params, round_t, client, *args):
-        log.trained.append(client.client_id)
+        log.trained.append(client.partition.client_id)
         return real_train(global_params, round_t, client, *args)
 
     monkeypatch.setattr(os, "fork", fork)
@@ -541,10 +552,31 @@ class TestWorkerPool:
         assert len(worker_log.forks) == 2
         # The workers wrote every history; this process has not yet read
         # or written a page of the shared mapping.
-        assert _resident_kib(pooled.workers.histories[0]) == 0
+        assert _resident_kib(pooled_clients[0].history) == 0
         for cid, client in pooled_clients.items():
-            assert client.history is pooled.workers.histories[cid]
             assert client.history.tobytes() == alone_clients[cid].history.tobytes(), cid
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_new_pool_between_rhpk_rounds_changes_no_bit(self, worker_log, workers):
+        # Each client holds its history slot, so a pool built mid-run reads
+        # the teachers the old pool's rounds wrote. 3 of 4 clients a round:
+        # round 1 trains at least two clients that round 0 trained.
+        cfg = _small_cfg(num_clients=4, fraction=0.75, algorithm="fedpsd", workers=workers)
+        runs = []
+        for swap in (False, True):
+            train, test, server, clients = _federation(cfg)
+            try:
+                for t in range(3):
+                    if swap and t == 1:
+                        server.workers.close()
+                        server.workers = engine.WorkerPool(workers, train, test, clients, cfg)
+                    run_round(server, clients, train, test, cfg)
+            finally:
+                server.workers.close()
+            histories = [client.history.tobytes() for _, client in sorted(clients.items())]
+            runs.append((server.global_params.flat.tobytes(), histories))
+        assert runs[0] == runs[1]
+        assert len(worker_log.forks) == (0 if workers == 1 else 6)
 
     def test_requests_and_replies_carry_no_array_but_model_parameters(self, monkeypatch):
         cfg = _small_cfg(num_clients=4, fraction=1.0, algorithm="fedpsd", workers=2)
@@ -637,7 +669,7 @@ class TestWorkers:
         assert worker_log.trained == []  # raised where the clients trained
 
     def test_pool_stays_in_step_after_a_worker_error(self, worker_log):
-        # Client 0, dealt to worker 0, has a history, and its shared slot
+        # Client 0, dealt to worker 0, counts as trained, and its shared slot
         # holds rows that are no probabilities, so worker 0 replies with
         # an error while worker 1 trains clients 1 and 3. The next call
         # must get its own results from both workers, not worker 1's
@@ -647,22 +679,24 @@ class TestWorkers:
         sampled = [clients[cid] for cid in range(4)]
         pool = server.workers
         try:
-            clients[0].history = pool.histories[0]
+            clients[0].last_accuracy = 0.0
             clients[0].history[:] = -1.0
-            with pytest.raises(ContractViolation, match="history rows must be probability vectors"):
+            with pytest.raises(ContractViolation, match="client 0 history rows must be probability"):
                 pool.train(server.global_params, 0, sampled)
-            clients[0].history = None
+            clients[0].last_accuracy = None
             got = pool.train(server.global_params, 1, sampled)
         finally:
             pool.close()
         assert len(worker_log.forks) == 2
+        # The one-worker pool retrains the same clients into the same slots.
+        pooled = [clients[cid].history.copy() for cid in range(4)]
         alone = engine.WorkerPool(1, train, test, clients, cfg)
         want = alone.train(server.global_params, 1, sampled)
         assert len(got) == len(want) == 4
         for cid, (params, losses, accuracy), expected in zip(range(4), got, want):
             assert params.flat.tobytes() == expected[0].flat.tobytes()
             assert (losses, accuracy) == (expected[1], expected[2])
-            assert pool.histories[cid].tobytes() == alone.histories[cid].tobytes()
+            assert pooled[cid].tobytes() == clients[cid].history.tobytes()
 
     def test_unsmoothed_prior_error_is_relayed_from_a_worker(self, worker_log):
         # Sharded clients miss classes, so the prior a client's trainer
@@ -762,7 +796,7 @@ def hashed_round(server, clients, *args):
     report = real_round(server, clients, *args)
     digests[-1].update(server.global_params.flat.tobytes())
     for _, client in sorted(clients.items()):
-        digests[-1].update(b"none" if client.history is None else client.history.tobytes())
+        digests[-1].update(b"none" if client.last_accuracy is None else client.history.tobytes())
     return report
 engine.run_round = hashed_round
 for workers in (1, 2):
@@ -1003,7 +1037,7 @@ class TestTrainOne:
         got = engine._train_one(server.global_params, 2, client, history, train, cfg)
         want = local_train_fedpsd(
             server.global_params, train.rows(idx), train.labels[idx],
-            history, client.client_id, 2, cfg,
+            history, client.partition.client_id, 2, cfg,
         )
         assert got[0].flat.tobytes() == want[0].flat.tobytes()
         assert got[2] == want[2] and len(got[2]) == 12

@@ -172,5 +172,5 @@ def test_idx_raw_bits_match_golden(tmp_path, blas_build):
         engine.run_round(server, clients, train, test, cfg)
     digest = hashlib.sha256(server.global_params.flat.tobytes())
     for _, client in sorted(clients.items()):
-        digest.update(b"none" if client.history is None else client.history.tobytes())
+        digest.update(b"none" if client.last_accuracy is None else client.history.tobytes())
     assert digest.hexdigest() == IDX_RAW_GOLDEN, f"idx raw: sha256 {digest.hexdigest()} on {blas_build}"

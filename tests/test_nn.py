@@ -423,3 +423,9 @@ class TestOneHot:
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ContractViolation, match="integers"):
             one_hot(np.array([1.0, 0.0]), 3)
+
+    @pytest.mark.parametrize("labels", [np.array([[0, 1]]), np.array(1)])
+    def test_labels_that_are_not_one_dimensional_rejected(self, labels):
+        # [[0, 1]] would give the one row [1, 1, 0].
+        with pytest.raises(ContractViolation, match="1-D"):
+            one_hot(labels, 3)
