@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import ContractViolation, _check_label_range
+from .nn import ContractViolation, _check_labels
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -73,7 +73,7 @@ class LabeledDataset:
                 f"{self.values.shape[0]} feature rows"
             )
         # Checked before the cast, which would truncate float labels.
-        _check_label_range(labels, self.num_classes)
+        _check_labels(labels, self.num_classes)
         self.labels = labels.astype(np.int64, copy=False)
 
     def rows(self, idx=slice(None)) -> np.ndarray:
@@ -432,12 +432,12 @@ def client_test_split(
 def class_prior(labels: np.ndarray, num_classes: int, epsilon: float = 1.0) -> np.ndarray:
     """Additively smoothed label distribution: (count_y + eps) / (n + L*eps).
 
-    Labels lie in [0, num_classes), epsilon in [0, inf); the result has length num_classes.
+    Labels are 1-D in [0, num_classes), epsilon in [0, inf); the result has length num_classes.
     """
     labels = np.asarray(labels)
     if labels.size < 1:
         raise ContractViolation("need at least one label for a class prior")
-    _check_label_range(labels, num_classes)
+    _check_labels(labels, num_classes)
     if not 0.0 <= epsilon < np.inf:
         raise ContractViolation(f"epsilon must lie in [0, inf), got {epsilon}")
     counts = np.bincount(labels, minlength=num_classes).astype(np.float64)

@@ -2,11 +2,13 @@
 
 One round samples ceil(C*K) clients (``clients_per_round``), trains
 each from a copy of the current global model, records every
-participant's local-test accuracy before aggregation, then replaces the
-global model with the sample-size-weighted mean of the returned
-parameters and evaluates it on the pooled test set. Per-client RNG
-streams are keyed by (seed, round, client_id) and updates are summed in
-sampled order, so results never depend on where a client trained. The
+participant's local-test accuracy, and folds each returned model into
+the sample-size-weighted mean of the round's parameters as it arrives
+(``_fold``); the mean then replaces the global model and is evaluated
+on the pooled test set. Per-client RNG streams are keyed by (seed,
+round, client_id) and updates are folded in sampled order, so results
+never depend on where a client trained, and the run process holds one
+client model at a time, not a round's worth. The
 clients train on the server's ``WorkerPool`` of min(workers, ceil(C*K),
 usable cpus) workers: with one, in the calling process; with more, in
 forked worker processes (POSIX ``fork`` only), forked when the first
@@ -33,7 +35,7 @@ import pickle
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -130,7 +132,8 @@ def sample_clients(num_clients: int, fraction: float, round_t: int, seed: int) -
 
 
 def aggregate(updates: list[tuple[ModelParams, int]], client_ids: list[int] | None = None) -> ModelParams:
-    """Sample-size-weighted mean of client parameters."""
+    """Sample-size-weighted mean of client parameters, folded one
+    client at a time in list order, as ``run_round`` folds a round's."""
     if not updates:
         raise ContractViolation("aggregate needs at least one update")
     if client_ids is not None and len(client_ids) != len(updates):
@@ -145,12 +148,18 @@ def aggregate(updates: list[tuple[ModelParams, int]], client_ids: list[int] | No
         if [a.shape for a in params.arrays()] != ref_shapes:
             raise ContractViolation(f"client {name} returned mismatched parameter shapes")
         total += n_k
-    # One client at a time, in order: a stacked matrix product would
-    # let BLAS reorder the sum and change the result's last bits.
     out = reference.zeros_like()
     for params, n_k in updates:
-        out.flat += (n_k / total) * params.flat
+        _fold(out, params, n_k / total)
     return out
+
+
+def _fold(out: ModelParams, params: ModelParams, weight: float) -> None:
+    """Add ``weight * params`` into the running sum ``out``. Folding one
+    client at a time, in sampled order, keeps the sum's order fixed; a
+    stacked matrix product would let BLAS reorder it and change the
+    result's last bits."""
+    out.flat += weight * params.flat
 
 
 def _train_one(
@@ -278,10 +287,15 @@ class WorkerPool:
     pins OpenBLAS to one thread. Each round a worker receives the global
     ``ModelParams``, the round and, for every size-th sampled client
     (all clients of a run have the same n_k, so dealing in turn balances
-    the work), its id and whether it has a history; it replies with each
-    one's ``ClientResult`` or with the exception that stopped it. All
-    replies are read before the first exception is raised, so none is
-    left for the next round. Both ends of each pipe are this module's,
+    the work), its id and whether it has a history. Once its last client
+    has trained, it replies with one pickle per client: the client's
+    ``ClientResult``, or the exception that stopped it, which is the
+    worker's last pickle of the round. The parent reads the pickles
+    round-robin, in sampled order, and hands each result to the
+    caller's ``receive`` as it is read, so it holds one result at a
+    time. Every reply is read before the first exception in sampled
+    order is raised, whether a worker or ``receive`` raised it, so none
+    is left for the next round. Both ends of each pipe are this module's,
     so the pickles read are only ones it wrote. ``close`` reaps the
     workers.
 
@@ -335,11 +349,10 @@ class WorkerPool:
             os.close(replies_w)
             self._workers.append((pid, open(requests_w, "wb"), open(replies_r, "rb")))
 
-    def _train(self, global_params: ModelParams, round_t: int, jobs) -> list[ClientResult]:
-        """Train each ``(client id, has history)`` job from ``global_params``;
-        a client's new history overwrites its slot."""
+    def _train(self, global_params: ModelParams, round_t: int, jobs) -> Iterator[ClientResult]:
+        """Train each ``(client id, has history)`` job from ``global_params``
+        and yield its result; a client's new history overwrites its slot."""
         train, test, clients, cfg = self._state
-        results = []
         for cid, has_history in jobs:
             client = clients[cid]
             params, history, losses = _train_one(
@@ -347,33 +360,42 @@ class WorkerPool:
             )
             if history is not None:
                 client.history[...] = history
-            results.append((params, losses, _local_accuracy(params, client, test)))
-        return results
+            yield params, losses, _local_accuracy(params, client, test)
 
     def _serve(self, requests_fd: int, replies_fd: int) -> None:
         """A worker's loop: train each request's clients, until the parent
-        closes the request pipe. Replies with the clients' results, or with
-        the exception that stopped them."""
+        closes the request pipe. Once the last has trained, replies with
+        one pickle per client, its result or the exception that stopped
+        the clients; none follows an exception."""
         with open(requests_fd, "rb") as requests, open(replies_fd, "wb") as replies:
             while True:
                 try:
                     request = pickle.load(requests)
                 except EOFError:
                     return
+                results: list = []
                 try:
-                    reply = self._train(*request)
+                    results.extend(self._train(*request))
                 except Exception as exc:  # re-raised by the parent
-                    reply = exc
-                pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+                    results.append(exc)
+                for reply in results:
+                    pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
                 replies.flush()
 
     def train(
-        self, global_params: ModelParams, round_t: int, sampled: list[ClientState]
-    ) -> list[ClientResult]:
-        """Train ``sampled`` from ``global_params``; results in ``sampled`` order."""
+        self,
+        global_params: ModelParams,
+        round_t: int,
+        sampled: list[ClientState],
+        receive: Callable[[ClientState, ClientResult], None],
+    ) -> None:
+        """Train ``sampled`` from ``global_params``, calling
+        ``receive(client, result)`` for each in ``sampled`` order."""
         jobs = [(c.partition.client_id, c.last_accuracy is not None) for c in sampled]
         if self.size == 1:
-            return self._train(global_params, round_t, jobs)
+            for client, result in zip(sampled, self._train(global_params, round_t, jobs)):
+                receive(client, result)
+            return
         if not self._workers:
             self._fork()
         for w, (pid, requests, _) in enumerate(self._workers):
@@ -383,20 +405,31 @@ class WorkerPool:
                 requests.flush()
             except BrokenPipeError:
                 raise ChildProcessError(f"worker process {pid} has exited") from None
-        received = []
-        for pid, _, replies in self._workers:
+        error: Exception | None = None
+        stopped: set[int] = set()  # workers whose last reply was an exception
+        for i, client in enumerate(sampled):
+            w = i % self.size
+            if w in stopped:
+                continue
+            pid, _, replies = self._workers[w]
             try:
-                received.append(pickle.load(replies))
+                reply = pickle.load(replies)
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(
                     f"worker process {pid} exited before it returned its clients"
                 ) from None
-        results: list = [None] * len(sampled)
-        for w, reply in enumerate(received):
             if isinstance(reply, Exception):
-                raise reply
-            results[w :: self.size] = reply
-        return results
+                stopped.add(w)
+                if error is None:
+                    error = reply
+            elif error is None:
+                try:
+                    receive(client, reply)
+                except Exception as exc:  # raised once every reply is read
+                    error = exc
+            del reply  # hold no result while the next one is read
+        if error is not None:
+            raise error
 
     def close(self) -> None:
         """Close the pipes and reap every worker. An idle worker exits on
@@ -423,19 +456,21 @@ def run_round(
     The sampled clients train on ``server.workers``."""
     t = server.round
     sampled = sample_clients(cfg.num_clients, cfg.fraction, t, cfg.seed)
-    results = server.workers.train(server.global_params, t, [clients[cid] for cid in sampled])
-
+    members = [clients[cid] for cid in sampled]
+    total = sum(client.partition.n_k for client in members)
+    mean = server.global_params.zeros_like()
     accuracies: list[float] = []
     traces: list[list[float]] = []
-    updates: list[tuple[ModelParams, int]] = []
-    for cid, (params, losses, accuracy) in zip(sampled, results):
-        client = clients[cid]
+
+    def receive(client: ClientState, result: ClientResult) -> None:
+        params, losses, accuracy = result
+        _fold(mean, params, client.partition.n_k / total)
         accuracies.append(accuracy)
         traces.append(losses)
-        updates.append((params, client.partition.n_k))
         client.last_accuracy = accuracy
 
-    server.global_params = aggregate(updates, client_ids=sampled)
+    server.workers.train(server.global_params, t, members, receive)
+    server.global_params = mean
     server.round = t + 1
     # The pooled test set is scored in ``row_blocks``, so its float64 rows
     # never exist all at once, and the logits are those of one whole-set

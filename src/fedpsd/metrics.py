@@ -38,12 +38,16 @@ class MetricsSeries:
 
     def final_avg_client_top1(self, window: int = 5) -> float:
         """Mean of the last ``window`` rounds; the reported headline number."""
-        tail = self.rounds[-window:]
-        return float(np.mean([r.avg_client_top1 for r in tail]))
+        return float(np.mean([r.avg_client_top1 for r in self._tail(window)]))
 
     def final_server_top1(self, window: int = 5) -> float:
-        tail = self.rounds[-window:]
-        return float(np.mean([r.server_top1 for r in tail]))
+        return float(np.mean([r.server_top1 for r in self._tail(window)]))
+
+    def _tail(self, window: int) -> list[RoundRecord]:
+        # rounds[-0:] is every round, and rounds[1:] for window -1.
+        if window < 1:
+            raise ValueError(f"window must be at least 1, got {window}")
+        return self.rounds[-window:]
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,10 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Labels must be a 1-D integer array in [0, num_classes)."""
+    if labels.ndim != 1:
+        raise ContractViolation(f"labels must be 1-D, got shape {labels.shape}")
     # A float label would fail later as a numpy indexing or casting error.
     if labels.dtype.kind not in "iu":
         raise ContractViolation(f"labels must be integers, got dtype {labels.dtype}")
@@ -240,9 +243,7 @@ def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ContractViolation(f"labels must be 1-D, got shape {labels.shape}")
-    _check_label_range(labels, num_classes)
+    _check_labels(labels, num_classes)
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -264,7 +265,7 @@ def _ce_inputs(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels)
     _check_batch(logits, labels)
     # A negative label would index from the end instead of failing.
-    _check_label_range(labels, logits.shape[1])
+    _check_labels(labels, logits.shape[1])
     return logits, labels
 
 
@@ -375,8 +376,11 @@ def finite_diff_check(
     part of the objective; ``param_term(model) -> (loss, grads)`` is an
     optional extra term that acts on parameters directly (a proximal
     penalty, say). Relative error is |analytic - numeric| / max(1, |numeric|),
-    maximised over every parameter coordinate.
+    maximised over every parameter coordinate. ``step`` must be finite
+    and positive: a NaN step would compare as no error at all.
     """
+    if not 0.0 < step < math.inf:
+        raise ContractViolation(f"step must be finite and positive, got {step}")
     batch = np.asarray(batch, dtype=np.float64)
     _, dlogits = loss_fn(forward(model, batch))
     analytic = backprop(model, batch, dlogits)

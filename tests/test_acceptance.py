@@ -89,6 +89,7 @@ def image_runs(mnist_dir):
         t_total=40,
         hidden=(128,),
         seed=0,
+        workers=2,
     )
     t0 = time.perf_counter()
     fedavg = run_experiment(dataclasses.replace(base, algorithm="fedavg"))

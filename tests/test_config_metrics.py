@@ -316,6 +316,14 @@ class TestMetrics:
         assert series.final_avg_client_top1(window=5) == pytest.approx(np.mean([0.5, 0.6, 0.7, 0.8, 0.9]))
         assert MetricsSeries(rounds=rounds[:2]).final_avg_client_top1() == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    @pytest.mark.parametrize("final", ["final_avg_client_top1", "final_server_top1"])
+    def test_window_below_one_rejected(self, final, window):
+        # rounds[-0:] would average all 4 rounds, rounds[1:] rounds 2-4.
+        series = MetricsSeries(rounds=[RoundRecord(i + 1, 0.1 * i, 0.2 * i, 0.0, ()) for i in range(4)])
+        with pytest.raises(ValueError, match="window must be at least 1, got"):
+            getattr(series, final)(window)
+
 
 class TestRoundsToTarget:
     def test_first_crossing(self):

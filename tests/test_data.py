@@ -475,6 +475,12 @@ class TestClassPrior:
         with pytest.raises(ContractViolation, match="at least one label"):
             class_prior(np.array([], dtype=np.int64), 3)
 
+    @pytest.mark.parametrize("labels", [np.array([[0, 1]]), np.array(1)])
+    def test_labels_that_are_not_one_dimensional_rejected(self, labels):
+        # np.bincount would raise a numpy ValueError instead.
+        with pytest.raises(ContractViolation, match="1-D"):
+            class_prior(labels, 3)
+
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ContractViolation, match="integers"):
             class_prior(np.array([0.5, 1.0]), 3)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -118,6 +119,15 @@ class TestAggregate:
         model = init_model([3, 4, 2], seed=0)
         with pytest.raises(ContractViolation, match=f"client 9 reports non-positive sample count {n_k}"):
             aggregate([(model, 10), (model, n_k)], client_ids=[4, 9])
+
+    def test_sums_in_list_order_to_the_bit(self):
+        # One client at a time, in order: out += (n_k / total) * params.
+        models = [init_model([3, 4, 2], seed=j) for j in range(5)]
+        counts = [3, 41, 7, 19, 1]
+        want = np.zeros_like(models[0].flat)
+        for m, c in zip(models, counts):
+            want += (c / sum(counts)) * m.flat
+        assert aggregate(list(zip(models, counts))).flat.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("client_ids", [[7], [7, 8, 9]])
     def test_client_ids_of_the_wrong_length_rejected(self, client_ids):
@@ -358,17 +368,25 @@ def _federation(cfg):
 
 
 @pytest.fixture
-def aggregated(monkeypatch):
-    """Every (params, n_k) list that run_round hands to aggregate."""
+def folded(monkeypatch):
+    """Every client model that run_round folds into a global model, in
+    fold order: a round's are the last ``len(report.sampled)``."""
     seen = []
-    real = engine.aggregate
+    real = engine._fold
 
-    def spy(updates, client_ids=None):
-        seen.append(updates)
-        return real(updates, client_ids)
+    def spy(out, params, weight):
+        seen.append(params)
+        return real(out, params, weight)
 
-    monkeypatch.setattr(engine, "aggregate", spy)
+    monkeypatch.setattr(engine, "_fold", spy)
     return seen
+
+
+def _train_all(pool, global_params, round_t, sampled):
+    """``pool.train``'s results, in ``sampled`` order."""
+    results = []
+    pool.train(global_params, round_t, sampled, lambda client, result: results.append(result))
+    return results
 
 
 # Every (rhpk, psd, cll) combination, in batches of 16 and of 29; 29
@@ -389,7 +407,7 @@ class TestFedPSDReference:
             for flags, b in _REFERENCE_CASES
         ],
     )
-    def test_three_rounds_match_the_straight_line_reference(self, aggregated, flags, batch_size):
+    def test_three_rounds_match_the_straight_line_reference(self, folded, flags, batch_size):
         # Every client trains every round, so from round 1 on each has a
         # history; alpha = t / 5 is 0, 0.2 and 0.4 over the three rounds.
         cfg = _small_cfg(
@@ -408,7 +426,8 @@ class TestFedPSDReference:
                 for cid, client in clients.items()
             }
             report = run_round(server, clients, train, test, cfg)
-            for cid, (params, _), losses in zip(report.sampled, aggregated[-1], report.loss_traces):
+            updates = folded[-len(report.sampled) :]
+            for cid, params, losses in zip(report.sampled, updates, report.loss_traces, strict=True):
                 idx = clients[cid].partition.train_indices
                 want_params, want_losses, want_history = _reference_local_update(
                     global_params, train.rows(idx), train.labels[idx], cid, t, cfg, before[cid],
@@ -423,14 +442,14 @@ class TestFedPSDReference:
 
 
 class TestRunRound:
-    def test_single_client_round_is_identity(self, aggregated):
+    def test_single_client_round_is_identity(self, folded):
         cfg = _small_cfg(num_clients=1, fraction=1.0, shards_per_client=4)
         train, test, server, clients = _federation(cfg)
         run_round(server, clients, train, test, cfg)
-        [(params, _)] = aggregated[-1]
+        [params] = folded
         assert server.global_params.flat.tobytes() == params.flat.tobytes()
 
-    def test_round_leaves_pre_round_global_untouched(self, aggregated):
+    def test_round_leaves_pre_round_global_untouched(self, folded):
         # Every client trains from the same global model object, in the
         # calling process or in a worker; an in-place write to it would be
         # silent and order-dependent.
@@ -442,14 +461,15 @@ class TestRunRound:
                 server.workers = workers
                 pre_round = server.global_params
                 before = pre_round.flat.tobytes()
-                run_round(server, clients, train, test, cfg)
+                report = run_round(server, clients, train, test, cfg)
                 assert server.global_params is not pre_round
                 assert pre_round.flat.tobytes() == before
-                assert not any(np.shares_memory(p.flat, pre_round.flat) for p, _ in aggregated[-1])
+                updates = folded[-len(report.sampled) :]
+                assert not any(np.shares_memory(p.flat, pre_round.flat) for p in updates)
         finally:
             pool.close()
 
-    def test_report_contents(self, aggregated):
+    def test_report_contents(self, folded):
         cfg = _small_cfg()
         train, test, server, clients = _federation(cfg)
         report = run_round(server, clients, train, test, cfg)
@@ -458,7 +478,7 @@ class TestRunRound:
         assert all(0.0 <= a <= 1.0 for a in report.client_accuracies)
         # recompute each participant's accuracy from the parameters it
         # returned; the client keeps the same figure for the sweep
-        for cid, reported, (params, _) in zip(report.sampled, report.client_accuracies, aggregated[-1]):
+        for cid, reported, params in zip(report.sampled, report.client_accuracies, folded, strict=True):
             cl = clients[cid]
             idx = cl.partition.test_indices
             again = top1_accuracy(forward(params, test.features[idx]), test.labels[idx])
@@ -467,6 +487,22 @@ class TestRunRound:
         assert report.avg_client_top1 == pytest.approx(
             sum(report.client_accuracies) / len(report.client_accuracies), abs=1e-15
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_global_model_has_the_bits_aggregate_gives(self, folded, workers):
+        # run_round folds each model as the pool hands it over; aggregate
+        # folds a list. Both sum in sampled order.
+        cfg = _small_cfg(workers=workers)
+        train, test, server, clients = _federation(cfg)
+        try:
+            report = run_round(server, clients, train, test, cfg)
+        finally:
+            server.workers.close()
+        updates = [
+            (params, clients[cid].partition.n_k)
+            for cid, params in zip(report.sampled, folded, strict=True)
+        ]
+        assert aggregate(updates, report.sampled).flat.tobytes() == server.global_params.flat.tobytes()
 
 
 @pytest.fixture
@@ -600,7 +636,8 @@ class TestWorkerPool:
                 run_round(server, clients, train, test, cfg)
         finally:
             server.workers.close()
-        assert len(sent) == len(received) == 4
+        # A request per worker and a reply per client, each round.
+        assert (len(sent), len(received)) == (4, 8)
         assert [jobs for _, t, jobs in sent if t == 1] == [[(0, True), (2, True)], [(1, True), (3, True)]]
 
         def stray_arrays(obj):
@@ -610,7 +647,7 @@ class TestWorkerPool:
                 return sum(stray_arrays(item) for item in obj)
             return 0  # a ModelParams, or a scalar
 
-        assert all(isinstance(params, ModelParams) for reply in received for params, _, _ in reply)
+        assert all(isinstance(params, ModelParams) for params, _, _ in received)
         assert stray_arrays(sent) == stray_arrays(received) == 0
 
     @pytest.mark.parametrize(
@@ -642,6 +679,34 @@ class TestWorkerPool:
         run_experiment(_small_cfg(workers=8, fraction=0.5, t_total=3))
         assert forked_at_round_start == [0, 3, 3]
         assert worker_log.trained == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_round_memory_does_not_grow_with_the_clients_per_round(self, worker_log, workers):
+        # Each update is folded into the new global model as it arrives, so
+        # the calling process holds one client model at a time, not a
+        # round's worth: its peak traced memory over a round is the same
+        # at 4 and at 16 clients a round, to within one model.
+        peaks = []
+        for fraction in (0.25, 1.0):
+            cfg = _small_cfg(
+                num_clients=16, fraction=fraction, synth_dim=256, synth_per_class=64,
+                hidden=(128,), workers=workers,
+            )
+            train, test, server, clients = _federation(cfg)
+            try:
+                run_round(server, clients, train, test, cfg)  # forks any workers
+                tracemalloc.start()
+                try:
+                    report = run_round(server, clients, train, test, cfg)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            finally:
+                server.workers.close()
+            assert len(report.sampled) == 16 * fraction
+        assert len(worker_log.forks) == (0 if workers == 1 else 4)
+        model_bytes = server.global_params.flat.nbytes
+        assert peaks[1] - peaks[0] <= model_bytes, [peak / model_bytes for peak in peaks]
 
     def test_only_worker_pool_train_calls_train_one(self):
         # One loop trains a round's clients, in the calling process or in a
@@ -682,18 +747,64 @@ class TestWorkers:
             clients[0].last_accuracy = 0.0
             clients[0].history[:] = -1.0
             with pytest.raises(ContractViolation, match="client 0 history rows must be probability"):
-                pool.train(server.global_params, 0, sampled)
+                _train_all(pool, server.global_params, 0, sampled)
             clients[0].last_accuracy = None
-            got = pool.train(server.global_params, 1, sampled)
+            got = _train_all(pool, server.global_params, 1, sampled)
         finally:
             pool.close()
         assert len(worker_log.forks) == 2
         # The one-worker pool retrains the same clients into the same slots.
         pooled = [clients[cid].history.copy() for cid in range(4)]
         alone = engine.WorkerPool(1, train, test, clients, cfg)
-        want = alone.train(server.global_params, 1, sampled)
+        want = _train_all(alone, server.global_params, 1, sampled)
         assert len(got) == len(want) == 4
         for cid, (params, losses, accuracy), expected in zip(range(4), got, want):
+            assert params.flat.tobytes() == expected[0].flat.tobytes()
+            assert (losses, accuracy) == (expected[1], expected[2])
+            assert pooled[cid].tobytes() == clients[cid].history.tobytes()
+
+    @pytest.mark.parametrize("source", ["worker", "receive"])
+    def test_first_error_in_sampled_order_is_raised_and_the_pool_stays_in_step(
+        self, worker_log, source
+    ):
+        # Worker 0 trains clients 0, 2 and 4, worker 1 clients 1, 3 and 5.
+        # Either client 2, in the middle of worker 0's list, and client 5,
+        # last of worker 1's, fail in training, or ``receive`` fails on
+        # client 1. Only what precedes the first failure in sampled order
+        # is received, that failure is the one raised, and the next call
+        # reads its own replies, not the rest of the failed call's.
+        cfg = _small_cfg(num_clients=6, fraction=1.0, algorithm="fedpsd", workers=2)
+        train, test, server, clients = _federation(cfg)
+        sampled = [clients[cid] for cid in range(6)]
+        received = []
+
+        def receive(client, result):
+            if source == "receive" and client.partition.client_id == 1:
+                raise RuntimeError("receive failed on client 1")
+            received.append(client.partition.client_id)
+
+        pool = server.workers
+        try:
+            if source == "worker":
+                for cid in (2, 5):
+                    clients[cid].last_accuracy = 0.0
+                    clients[cid].history[:] = -1.0
+                raises = pytest.raises(ContractViolation, match="client 2 history rows")
+            else:
+                raises = pytest.raises(RuntimeError, match="receive failed on client 1")
+            with raises:
+                pool.train(server.global_params, 0, sampled, receive)
+            assert received == ([0, 1] if source == "worker" else [0])
+            for client in sampled:
+                client.last_accuracy = None
+            got = _train_all(pool, server.global_params, 1, sampled)
+        finally:
+            pool.close()
+        assert len(worker_log.forks) == 2
+        pooled = [clients[cid].history.copy() for cid in range(6)]
+        want = _train_all(engine.WorkerPool(1, train, test, clients, cfg), server.global_params, 1, sampled)
+        assert len(got) == len(want) == 6
+        for cid, (params, losses, accuracy), expected in zip(range(6), got, want):
             assert params.flat.tobytes() == expected[0].flat.tobytes()
             assert (losses, accuracy) == (expected[1], expected[2])
             assert pooled[cid].tobytes() == clients[cid].history.tobytes()
@@ -843,7 +954,7 @@ class TestBlasThreads:
         train, test, server, clients = _federation(cfg)
         restore = engine.pin_blas_threads(2)
         try:
-            results = server.workers.train(server.global_params, 0, list(clients.values()))
+            results = _train_all(server.workers, server.global_params, 0, list(clients.values()))
             assert getter() == 2
         finally:
             server.workers.close()

@@ -300,6 +300,14 @@ class TestFiniteDiffSelfTest:
         err = finite_diff_check(model, x, lambda lg: softmax_ce(lg, np.array([1])))
         assert err < 1e-6
 
+    @pytest.mark.parametrize("step", [float("nan"), 0.0, -1e-5, float("inf")])
+    def test_step_must_be_finite_and_positive(self, step):
+        # A NaN step reads as error 0.0, a check that checks nothing; a zero
+        # step divides by zero.
+        model = _single_layer(np.ones((3, 4)), np.zeros(3))
+        with pytest.raises(ContractViolation, match="step must be finite and positive"):
+            finite_diff_check(model, np.ones((1, 4)), lambda lg: softmax_ce(lg, np.array([1])), step=step)
+
 
 class TestSGD:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.1])
