@@ -1,29 +1,30 @@
 """Federated round loop: sampling, local training, aggregation, evaluation.
 
-One round samples ceil(C*K) clients (``clients_per_round``), trains
-each from a copy of the current global model, records every
-participant's local-test accuracy, and folds each returned model into
-the sample-size-weighted mean of the round's parameters as it arrives
-(``_fold``); the mean then replaces the global model and is evaluated
-on the pooled test set. Per-client RNG streams are keyed by (seed,
-round, client_id) and updates are folded in sampled order, so results
-never depend on where a client trained, and the run process holds one
-client model at a time, not a round's worth. The
-clients train on the server's ``WorkerPool`` of min(workers, ceil(C*K),
-usable cpus) workers: with one, in the calling process; with more, in
-forked worker processes (POSIX ``fork`` only), forked when the first
-round trains and reaped when the run ends. A job is a client id and
-whether the client has trained before; a result is the client's
-``ModelParams``, losses and accuracy, the same wherever it trained. Its
-trainer derives the round's lr and the client's class prior itself.
-Under fedpsd with rhpk, each ``ClientState`` holds its history slot in
-one anonymous shared mapping from set-up on: whoever trains a client
-reads its teacher from the slot and writes the new history back in
-place, so no history is pickled and, above one worker, the run process
-never touches a slot's pages. A run holds the loaded
-OpenBLAS at one thread (``pin_blas_threads``), so its bits do not
-depend on the machine's thread default. ``run_ablation`` runs the four
-FedPSD component rows of one config.
+One round samples ceil(C*K) clients (``clients_per_round``), trains each
+from a copy of the current global model, records every participant's
+local-test accuracy, and folds each returned model into the
+sample-size-weighted mean of the round's parameters as it arrives
+(``_fold``); the mean then replaces the global model and is evaluated on
+the pooled test set. Per-client RNG streams are keyed by (seed, round,
+client_id) and updates are folded in sampled order, so results never
+depend on where a client trained, and the run process holds one client
+model at a time, not a round's worth. The clients train on the server's
+``WorkerPool`` of min(workers, ceil(C*K), usable cpus) workers: with
+one, in the calling process; with more, in forked worker processes
+(POSIX ``fork`` only), forked when the first round trains and reaped
+when the run ends. A round that raises is the federation's last: the
+pool reaps its workers, and ``run_round`` refuses every later round. A
+job is a client id and whether the client has trained before; a result
+is the client's ``ModelParams``, losses and accuracy, the same wherever
+it trained. Its trainer derives the round's lr and the client's class
+prior itself. Under fedpsd with rhpk, each ``ClientState`` holds its
+history slot in one anonymous shared mapping from set-up on: whoever
+trains a client reads its teacher from the slot and writes the new
+history back in place, so no history is pickled and, above one worker,
+the run process never touches a slot's pages. A run holds the loaded
+OpenBLAS at one thread (``pin_blas_threads``), so its bits do not depend
+on the machine's thread default. ``run_ablation`` runs the four FedPSD
+component rows of one config.
 """
 from __future__ import annotations
 
@@ -82,6 +83,7 @@ class ServerState:
     global_params: ModelParams
     round: int
     workers: WorkerPool = field(repr=False, compare=False)
+    failed_round: int | None = None  # the round that raised: the federation's last
 
 
 @dataclass
@@ -293,11 +295,10 @@ class WorkerPool:
     worker's last pickle of the round. The parent reads the pickles
     round-robin, in sampled order, and hands each result to the
     caller's ``receive`` as it is read, so it holds one result at a
-    time. Every reply is read before the first exception in sampled
-    order is raised, whether a worker or ``receive`` raised it, so none
-    is left for the next round. Both ends of each pipe are this module's,
-    so the pickles read are only ones it wrote. ``close`` reaps the
-    workers.
+    time. The first failure in sampled order, a worker's exception or
+    exit or ``receive``'s exception, closes the pool and is re-raised.
+    Both ends of each pipe are this module's, so the pickles read are
+    only ones it wrote. ``close`` reaps the workers.
 
     The pool owns no client state. A job's flag, "has a history", is the
     calling process's ``last_accuracy is not None``: a worker's clients
@@ -396,45 +397,35 @@ class WorkerPool:
             for client, result in zip(sampled, self._train(global_params, round_t, jobs)):
                 receive(client, result)
             return
-        if not self._workers:
-            self._fork()
-        for w, (pid, requests, _) in enumerate(self._workers):
-            try:
-                request = (global_params, round_t, jobs[w :: self.size])
-                pickle.dump(request, requests, pickle.HIGHEST_PROTOCOL)
-                requests.flush()
-            except BrokenPipeError:
-                raise ChildProcessError(f"worker process {pid} has exited") from None
-        error: Exception | None = None
-        stopped: set[int] = set()  # workers whose last reply was an exception
-        for i, client in enumerate(sampled):
-            w = i % self.size
-            if w in stopped:
-                continue
-            pid, _, replies = self._workers[w]
-            try:
-                reply = pickle.load(replies)
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(
-                    f"worker process {pid} exited before it returned its clients"
-                ) from None
-            if isinstance(reply, Exception):
-                stopped.add(w)
-                if error is None:
-                    error = reply
-            elif error is None:
+        try:
+            if not self._workers:
+                self._fork()
+            for w, (pid, requests, _) in enumerate(self._workers):
                 try:
-                    receive(client, reply)
-                except Exception as exc:  # raised once every reply is read
-                    error = exc
-            del reply  # hold no result while the next one is read
-        if error is not None:
-            raise error
+                    request = (global_params, round_t, jobs[w :: self.size])
+                    pickle.dump(request, requests, pickle.HIGHEST_PROTOCOL)
+                    requests.flush()
+                except BrokenPipeError:
+                    raise ChildProcessError(f"worker process {pid} has exited") from None
+            for i, client in enumerate(sampled):
+                pid, _, replies = self._workers[i % self.size]
+                try:
+                    reply = pickle.load(replies)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(
+                        f"worker process {pid} exited before it returned its clients"
+                    ) from None
+                if isinstance(reply, Exception):
+                    raise reply
+                receive(client, reply)
+                del reply  # hold no result while the next one is read
+        except BaseException:
+            self.close()  # the unread replies go with the workers
+            raise
 
     def close(self) -> None:
-        """Close the pipes and reap every worker. An idle worker exits on
-        end-of-file; one still training, after an error elsewhere, exits
-        when it can no longer write its reply."""
+        """Close the pipes and reap every worker: an idle one exits on
+        end-of-file, one still training once it can no longer reply."""
         for pid, requests, replies in self._workers:
             try:
                 requests.close()
@@ -453,7 +444,10 @@ def run_round(
     cfg: ExperimentConfig,
 ) -> RoundReport:
     """Advance the federation by one round, mutating server and clients.
-    The sampled clients train on ``server.workers``."""
+    The sampled clients train on ``server.workers``. After a round whose
+    training raised, it raises ``ContractViolation`` and changes nothing."""
+    if server.failed_round is not None:
+        raise ContractViolation(f"round {server.failed_round} raised; the federation has ended")
     t = server.round
     sampled = sample_clients(cfg.num_clients, cfg.fraction, t, cfg.seed)
     members = [clients[cid] for cid in sampled]
@@ -469,7 +463,11 @@ def run_round(
         traces.append(losses)
         client.last_accuracy = accuracy
 
-    server.workers.train(server.global_params, t, members, receive)
+    try:
+        server.workers.train(server.global_params, t, members, receive)
+    except BaseException:
+        server.failed_round = t
+        raise
     server.global_params = mean
     server.round = t + 1
     # The pooled test set is scored in ``row_blocks``, so its float64 rows

@@ -47,6 +47,8 @@ class MetricsSeries:
         # rounds[-0:] is every round, and rounds[1:] for window -1.
         if window < 1:
             raise ValueError(f"window must be at least 1, got {window}")
+        if not self.rounds:
+            raise ValueError("a series with no rounds has no final accuracy")
         return self.rounds[-window:]
 
 

@@ -316,12 +316,19 @@ class TestMetrics:
         assert series.final_avg_client_top1(window=5) == pytest.approx(np.mean([0.5, 0.6, 0.7, 0.8, 0.9]))
         assert MetricsSeries(rounds=rounds[:2]).final_avg_client_top1() == pytest.approx(0.05)
 
-    @pytest.mark.parametrize("window", [0, -1])
+    @pytest.mark.parametrize(
+        "window, rounds, problem",
+        [(0, 4, "window must be at least 1, got"), (-1, 4, "window must be at least 1, got"),
+         (5, 0, "a series with no rounds has no final accuracy")],
+        ids=["0", "-1", "no_rounds"],
+    )
     @pytest.mark.parametrize("final", ["final_avg_client_top1", "final_server_top1"])
-    def test_window_below_one_rejected(self, final, window):
-        # rounds[-0:] would average all 4 rounds, rounds[1:] rounds 2-4.
-        series = MetricsSeries(rounds=[RoundRecord(i + 1, 0.1 * i, 0.2 * i, 0.0, ()) for i in range(4)])
-        with pytest.raises(ValueError, match="window must be at least 1, got"):
+    def test_window_below_one_rejected(self, final, window, rounds, problem):
+        # rounds[-0:] would average all 4 rounds, rounds[1:] rounds 2-4. A
+        # run that raised in its first round leaves a header-only CSV,
+        # which loads as no rounds; their mean would be nan.
+        series = MetricsSeries(rounds=[RoundRecord(i + 1, 0.1 * i, 0.2 * i, 0.0, ()) for i in range(rounds)])
+        with pytest.raises(ValueError, match=problem):
             getattr(series, final)(window)
 
 

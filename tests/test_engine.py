@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpsd import engine, psd
 from fedpsd.config import LOCAL_SHUFFLE_STREAM, ExperimentConfig
@@ -505,8 +507,7 @@ class TestRunRound:
         assert aggregate(updates, report.sampled).flat.tobytes() == server.global_params.flat.tobytes()
 
 
-@pytest.fixture
-def worker_log(monkeypatch):
+def _log_workers(monkeypatch):
     """Records the pid of each worker process this process forks and the
     id of each client trained in this process (a worker's records stay in
     the worker). Allows 8 cpus, so the cpu count caps no run."""
@@ -527,6 +528,20 @@ def worker_log(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(engine, "_train_one", train_one)
     return log
+
+
+@pytest.fixture
+def worker_log(monkeypatch):
+    return _log_workers(monkeypatch)
+
+
+def _federation_bytes(server, clients):
+    """The global parameters, then each client's history slot and last
+    accuracy, as bytes."""
+    return [server.global_params.flat.tobytes()] + [
+        (None if client.history is None else client.history.tobytes(), client.last_accuracy)
+        for _, client in sorted(clients.items())
+    ]
 
 
 def _resident_kib(view):
@@ -733,76 +748,67 @@ class TestWorkers:
         assert len(worker_log.forks) == 2
         assert worker_log.trained == []  # raised where the clients trained
 
-    def test_pool_stays_in_step_after_a_worker_error(self, worker_log):
-        # Client 0, dealt to worker 0, counts as trained, and its shared slot
-        # holds rows that are no probabilities, so worker 0 replies with
-        # an error while worker 1 trains clients 1 and 3. The next call
-        # must get its own results from both workers, not worker 1's
-        # reply to the failed call.
-        cfg = _small_cfg(num_clients=4, fraction=1.0, algorithm="fedpsd", workers=2)
+    @pytest.mark.parametrize(
+        "workers, source", [(1, "worker"), (1, "receive"), (2, "worker"), (2, "receive"), (2, "exit")]
+    )
+    def test_a_round_that_raises_ends_the_federation(self, worker_log, monkeypatch, workers, source):
+        # Round 0 trains every client. In round 1, worker 0 trains clients
+        # 0, 2 and 4 and worker 1 clients 1, 3 and 5 (at one worker, all in
+        # turn), and either clients 2, mid-list, and 5, last of worker 1's,
+        # fail in training, or the fold fails on client 1, or worker 0 exits
+        # as it trains client 2, before it has replied for client 0. The
+        # first failure in sampled order is raised, only the clients before
+        # it are folded, and no worker is left when it is raised.
+        cfg = _small_cfg(num_clients=6, fraction=1.0, algorithm="fedpsd", workers=workers)
         train, test, server, clients = _federation(cfg)
-        sampled = [clients[cid] for cid in range(4)]
-        pool = server.workers
-        try:
-            clients[0].last_accuracy = 0.0
-            clients[0].history[:] = -1.0
-            with pytest.raises(ContractViolation, match="client 0 history rows must be probability"):
-                _train_all(pool, server.global_params, 0, sampled)
-            clients[0].last_accuracy = None
-            got = _train_all(pool, server.global_params, 1, sampled)
-        finally:
-            pool.close()
-        assert len(worker_log.forks) == 2
-        # The one-worker pool retrains the same clients into the same slots.
-        pooled = [clients[cid].history.copy() for cid in range(4)]
-        alone = engine.WorkerPool(1, train, test, clients, cfg)
-        want = _train_all(alone, server.global_params, 1, sampled)
-        assert len(got) == len(want) == 4
-        for cid, (params, losses, accuracy), expected in zip(range(4), got, want):
-            assert params.flat.tobytes() == expected[0].flat.tobytes()
-            assert (losses, accuracy) == (expected[1], expected[2])
-            assert pooled[cid].tobytes() == clients[cid].history.tobytes()
+        parent, real_train, real_fold, folds = os.getpid(), engine._train_one, engine._fold, []
 
-    @pytest.mark.parametrize("source", ["worker", "receive"])
-    def test_first_error_in_sampled_order_is_raised_and_the_pool_stays_in_step(
-        self, worker_log, source
-    ):
-        # Worker 0 trains clients 0, 2 and 4, worker 1 clients 1, 3 and 5.
-        # Either client 2, in the middle of worker 0's list, and client 5,
-        # last of worker 1's, fail in training, or ``receive`` fails on
-        # client 1. Only what precedes the first failure in sampled order
-        # is received, that failure is the one raised, and the next call
-        # reads its own replies, not the rest of the failed call's.
-        cfg = _small_cfg(num_clients=6, fraction=1.0, algorithm="fedpsd", workers=2)
-        train, test, server, clients = _federation(cfg)
+        def exit_in_worker(global_params, round_t, client, *args):
+            failing = source == "exit" and (round_t, client.partition.client_id) == (1, 2)
+            if failing and os.getpid() != parent:
+                os._exit(3)
+            return real_train(global_params, round_t, client, *args)
+
+        def fold(out, params, weight):
+            if source == "receive" and len(folds) == 7:
+                raise RuntimeError("fold failed on client 1")
+            folds.append(weight)
+            real_fold(out, params, weight)
+
+        monkeypatch.setattr(engine, "_train_one", exit_in_worker)
+        monkeypatch.setattr(engine, "_fold", fold)
         sampled = [clients[cid] for cid in range(6)]
-        received = []
-
-        def receive(client, result):
-            if source == "receive" and client.partition.client_id == 1:
-                raise RuntimeError("receive failed on client 1")
-            received.append(client.partition.client_id)
-
-        pool = server.workers
         try:
+            run_round(server, clients, train, test, cfg)
             if source == "worker":
                 for cid in (2, 5):
-                    clients[cid].last_accuracy = 0.0
                     clients[cid].history[:] = -1.0
-                raises = pytest.raises(ContractViolation, match="client 2 history rows")
+            if source == "exit":
+                error, message = ChildProcessError, f"worker process {worker_log.forks[0]} exited"
             else:
-                raises = pytest.raises(RuntimeError, match="receive failed on client 1")
-            with raises:
-                pool.train(server.global_params, 0, sampled, receive)
-            assert received == ([0, 1] if source == "worker" else [0])
+                error, message = {
+                    "worker": (ContractViolation, "client 2 history rows"),
+                    "receive": (RuntimeError, "fold failed on client 1"),
+                }[source]
+            with pytest.raises(error, match=message):
+                run_round(server, clients, train, test, cfg)
+            assert len(folds) - 6 == {"worker": 2, "receive": 1, "exit": 0}[source]
+            for pid in worker_log.forks:  # reaped before the error reached run_round's caller
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+            before = _federation_bytes(server, clients)
+            with pytest.raises(ContractViolation, match="round 1 raised"):
+                run_round(server, clients, train, test, cfg)
+            assert _federation_bytes(server, clients) == before
+            # The pool itself trains on, from freshly forked workers.
             for client in sampled:
                 client.last_accuracy = None
-            got = _train_all(pool, server.global_params, 1, sampled)
+            got = _train_all(server.workers, server.global_params, 2, sampled)
         finally:
-            pool.close()
-        assert len(worker_log.forks) == 2
+            server.workers.close()
+        assert len(worker_log.forks) == (0 if workers == 1 else 4)
         pooled = [clients[cid].history.copy() for cid in range(6)]
-        want = _train_all(engine.WorkerPool(1, train, test, clients, cfg), server.global_params, 1, sampled)
+        want = _train_all(engine.WorkerPool(1, train, test, clients, cfg), server.global_params, 2, sampled)
         assert len(got) == len(want) == 6
         for cid, (params, losses, accuracy), expected in zip(range(6), got, want):
             assert params.flat.tobytes() == expected[0].flat.tobytes()
@@ -860,6 +866,77 @@ class TestWorkers:
         for pid in worker_log.forks:
             with pytest.raises(ChildProcessError):  # reaped: no longer a child
                 os.waitpid(pid, os.WNOHANG)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    num_clients=st.integers(min_value=4, max_value=6),
+    dim=st.integers(min_value=2, max_value=8),
+    fraction=st.sampled_from((0.5, 1.0)),
+    workers=st.integers(min_value=1, max_value=3),
+    fail_round=st.integers(min_value=0, max_value=2),
+    position=st.integers(min_value=0, max_value=5),
+    source=st.sampled_from(("worker", "receive")),
+)
+def test_a_failure_ends_the_federation_and_leaves_every_earlier_round_as_a_clean_run(
+    num_clients, dim, fraction, workers, fail_round, position, source
+):
+    """A tiny fedpsd+rhpk federation fails once, at one sampled position of
+    one round, in a client's training or in the fold of its model. Every
+    round before it holds a clean one-worker run's bytes, every later
+    round is refused and changes nothing, and no worker outlives the
+    failure."""
+    cfg = _small_cfg(
+        algorithm="fedpsd", num_clients=num_clients, synth_dim=dim, hidden=(4,), fraction=fraction,
+        synth_per_class=10 * num_clients, epochs=1, test_budget=8, workers=workers,
+    )
+    clean_train, clean_test, clean, clean_clients = _federation(dataclasses.replace(cfg, workers=1))
+    expected = []
+    for _ in range(fail_round):
+        run_round(clean, clean_clients, clean_train, clean_test, cfg)
+        expected.append(_federation_bytes(clean, clean_clients))
+    sampled = sample_clients(num_clients, fraction, fail_round, cfg.seed)
+    at = position % len(sampled)
+    failing = sampled[at]
+    # The failing fold's index among all of the run's folds.
+    failing_fold = at + sum(
+        len(sample_clients(num_clients, fraction, t, cfg.seed)) for t in range(fail_round)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        log = _log_workers(mp)
+        real_train, real_fold, folds = engine._train_one, engine._fold, []
+
+        def train_one(global_params, round_t, client, *args):
+            if source == "worker" and (round_t, client.partition.client_id) == (fail_round, failing):
+                raise RuntimeError(f"client {failing} failed in process {os.getpid()}")
+            return real_train(global_params, round_t, client, *args)
+
+        def fold(out, params, weight):
+            if source == "receive" and len(folds) == failing_fold:
+                raise RuntimeError(f"the fold of client {failing} failed")
+            folds.append(weight)
+            real_fold(out, params, weight)
+
+        mp.setattr(engine, "_train_one", train_one)
+        mp.setattr(engine, "_fold", fold)
+        train, test, server, clients = _federation(cfg)
+        try:
+            for t in range(fail_round):
+                run_round(server, clients, train, test, cfg)
+                assert _federation_bytes(server, clients) == expected[t], t
+            with pytest.raises(RuntimeError, match=f"client {failing} failed"):
+                run_round(server, clients, train, test, cfg)
+            for pid in log.forks:
+                with pytest.raises(ChildProcessError):  # reaped
+                    os.waitpid(pid, os.WNOHANG)
+            after = _federation_bytes(server, clients)
+            for _ in range(2):
+                with pytest.raises(ContractViolation, match=f"round {fail_round} raised"):
+                    run_round(server, clients, train, test, cfg)
+                assert _federation_bytes(server, clients) == after
+        finally:
+            server.workers.close()
+    assert len(log.forks) == (0 if server.workers.size == 1 else server.workers.size)
 
 
 def test_a_pooled_run_imports_no_multiprocessing_module():

@@ -10,11 +10,14 @@ workload cannot leave one side unmeasured. No experiment runs.
 
 It also renders a tiny split with ``perfbench/inputs.py`` (imported,
 never edited) and checks that ``load_idx_files`` reads it back
-pixel-backed, with rows equal to the float64 conversion. Last, it runs
+pixel-backed, with rows equal to the float64 conversion, and pins the
+bytes of the full corpus that the ``mnist_dir`` fixture renders with it
+for the image tests. Last, it runs
 ``perfbench/child.py --trace`` on one-round configs of a calling-process
 workload and a worker workload, so a change to the engine that the
 benchmark's runner no longer drives fails here, not in the benchmark.
 """
+import hashlib
 import importlib.util
 import json
 import os
@@ -71,6 +74,25 @@ def test_rendered_inputs_read_back_pixel_backed(tmp_path):
     assert ds.pixels and ds.values.shape == (30, 784)
     assert np.array_equal(np.bincount(ds.labels), [3] * 10)
     assert ds.rows().tobytes() == (ds.values.astype(np.float64) / 255.0).tobytes()
+
+
+# sha256 of each file of the stand-in corpus that the ``mnist_dir``
+# fixture renders with ``perfbench/inputs.py`` from seed 4242. The image
+# acceptance criteria read these bytes, so a change to the benchmark's
+# renderer fails here, not as a moved accuracy.
+STAND_IN_SHA256 = {
+    "train-images-idx3-ubyte": "f4abb1d3a91232594db2c8d607b1cd9bbc1601c5b9e20d4021be5deea4d421f1",
+    "train-labels-idx1-ubyte": "27172beeb9afdc63983e8ea80bc6c92a1deb5be5678cc027d007fc2889fc205b",
+    "t10k-images-idx3-ubyte": "5f2221e68e8f66636b575e4df08e7508575690cd72ebb063715ff77caabf87e2",
+    "t10k-labels-idx1-ubyte": "afa825f8a9fbd23d66d6807a04529ac1373e303ab5fba7d8c7d56060bf690d0d",
+}
+
+
+def test_stand_in_corpus_bytes_are_pinned(mnist_dir):
+    if os.environ.get("FEDPSD_MNIST_DIR"):
+        pytest.skip("the image tests read the FEDPSD_MNIST_DIR files")
+    digests = {name: hashlib.sha256((mnist_dir / name).read_bytes()).hexdigest() for name in STAND_IN_SHA256}
+    assert digests == STAND_IN_SHA256
 
 
 # desk_fedpsd trains in the calling process; many_clients_fedprox on two
