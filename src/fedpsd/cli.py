@@ -6,10 +6,10 @@ Three subcommands:
   ablate <config> [--out DIR]           the four component-flag rows
   summarize <csv> --target ACC          first round reaching a target
 
-``run`` echoes the parsed config before any metric line and appends to
-metrics.csv row by row with a flush after each, so a live run can be
-tailed. Re-running the emitted ``config.txt`` with the same seed
-reproduces metrics.csv byte for byte.
+``run`` echoes the parsed config before any metric line. ``run`` and
+``ablate`` write through ``engine.run_to_dir``: each CSV row is flushed
+as it is made, so a live run can be tailed, and each ``config.txt``
+(``<row>_config.txt`` for an ablation row) re-runs to the same bytes.
 """
 from __future__ import annotations
 
@@ -19,69 +19,38 @@ import sys
 from pathlib import Path
 
 from .config import echo_config, parse_config
-from .engine import run_ablation, run_experiment
-from .metrics import (
-    ABLATION_HEADER,
-    CSV_HEADER,
-    SWEEP_HEADER,
-    csv_writer,
-    format_round,
-    format_sweep,
-    load_metrics,
-    rounds_to_target,
-)
+from .engine import run_ablation, run_to_dir
+from .metrics import format_round, load_metrics, rounds_to_target
 
 
 def _cmd_run(args, stdout) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
-    cfg = parse_config(text)
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    echo = echo_config(cfg)
-    stdout.write(echo)
+    stdout.write(echo_config(cfg))
     stdout.flush()
-    (out_dir / "config.txt").write_text(echo, encoding="utf-8", newline="\n")
 
-    metrics_path = out_dir / "metrics.csv"
-    with (
-        csv_writer(metrics_path, CSV_HEADER) as write_round,
-        csv_writer(out_dir / "sweeps.csv", SWEEP_HEADER) as write_sweep,
-    ):
-        def on_round(record):
-            line = format_round(record)
-            write_round(line)
-            stdout.write(line + "\n")
-            stdout.flush()
+    def on_round(record):
+        stdout.write(format_round(record) + "\n")
+        stdout.flush()
 
-        series = run_experiment(
-            cfg, round_callback=on_round,
-            sweep_callback=lambda sweep: write_sweep(format_sweep(sweep)),
-        )
-
+    series = run_to_dir(cfg, args.out, round_callback=on_round)
     stdout.write(
         f"final avg_client_top1 {series.final_avg_client_top1():.6f} "
         f"server_top1 {series.final_server_top1():.6f} "
-        f"({metrics_path})\n"
+        f"({Path(args.out) / 'metrics.csv'})\n"
     )
     return 0
 
 
 def _cmd_ablate(args, stdout) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
-    cfg = parse_config(text)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stdout.write(ABLATION_HEADER + "\n")
-    stdout.flush()
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
 
     def log(line):
         stdout.write(line + "\n")
         stdout.flush()
 
-    run_ablation(cfg, out_dir=out_dir, log=log)
+    run_ablation(cfg, out_dir=args.out, log=log)
     return 0
 
 
@@ -106,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ablate = sub.add_parser("ablate", help="run the four component-flag combinations")
     p_ablate.add_argument("config", help="config file; algorithm must be fedpsd")
-    p_ablate.add_argument("--out", default=".", help="directory for per-row CSVs and ablation.csv")
+    p_ablate.add_argument("--out", default=".", help="directory for per-row files and ablation.csv")
     p_ablate.set_defaults(func=_cmd_ablate)
 
     p_sum = sub.add_parser("summarize", help="first round that reaches a target accuracy")

@@ -23,8 +23,9 @@ trains a client reads its teacher from the slot and writes the new
 history back in place, so no history is pickled and, above one worker,
 the run process never touches a slot's pages. A run holds the loaded
 OpenBLAS at one thread (``pin_blas_threads``), so its bits do not depend
-on the machine's thread default. ``run_ablation`` runs the four FedPSD
-component rows of one config.
+on the machine's thread default. ``run_to_dir`` runs a config into a
+directory, streaming its CSVs; ``run_ablation`` runs the four FedPSD
+component rows of one config through it.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
-from .config import SAMPLING_STREAM, ConfigError, ExperimentConfig
+from .config import SAMPLING_STREAM, ConfigError, ExperimentConfig, echo_config
 from .data import (
     ClientPartition,
     LabeledDataset,
@@ -54,13 +55,16 @@ from .data import (
 )
 from .metrics import (
     ABLATION_HEADER,
+    CSV_HEADER,
+    SWEEP_HEADER,
     AblationRow,
     MetricsSeries,
     RoundRecord,
     SweepRecord,
     csv_writer,
-    emit_metrics,
     format_ablation_row,
+    format_round,
+    format_sweep,
 )
 from .nn import (
     ContractViolation,
@@ -602,6 +606,29 @@ def run_experiment(
     return MetricsSeries(rounds=rounds, sweeps=sweeps)
 
 
+def run_to_dir(cfg: ExperimentConfig, out_dir, prefix="", round_callback=None) -> MetricsSeries:
+    """Run ``cfg`` into ``out_dir``, which it creates: ``{prefix}config.txt``
+    echoes the config, and ``{prefix}metrics.csv`` and ``{prefix}sweeps.csv``
+    get one flushed row per record, so a live run can be tailed;
+    ``round_callback(record)`` fires after each round's row is written."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{prefix}config.txt").write_text(echo_config(cfg), encoding="utf-8", newline="\n")
+    with (
+        csv_writer(out / f"{prefix}metrics.csv", CSV_HEADER) as write_round,
+        csv_writer(out / f"{prefix}sweeps.csv", SWEEP_HEADER) as write_sweep,
+    ):
+        def on_round(record: RoundRecord) -> None:
+            write_round(format_round(record))
+            if round_callback is not None:
+                round_callback(record)
+
+        return run_experiment(
+            cfg, round_callback=on_round,
+            sweep_callback=lambda sweep: write_sweep(format_sweep(sweep)),
+        )
+
+
 # Component rows in the order the flags were introduced: history fusion
 # first, then progressive self-distillation, then the calibrated loss.
 ABLATION_ROWS: tuple[tuple[str, bool, bool, bool], ...] = (
@@ -618,16 +645,21 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None, log=None) -> list[Ablation
     All rows share the config's seed, so the partition, the client
     sampling sequence, and the batch order are identical across rows;
     only the flag set differs. The baseline row trains exactly like
-    fedavg. With ``out_dir`` set, each row's per-round CSV lands in
-    ``<name>_metrics.csv`` and the summary table in ``ablation.csv``.
+    fedavg. Once the config is checked, ``log`` gets ``ABLATION_HEADER``,
+    then each row's line. With ``out_dir`` set, each row runs through
+    ``run_to_dir`` with the prefix ``<name>_``, and the table lands in
+    ``ablation.csv``.
     """
     if cfg.algorithm != "fedpsd":
         raise ConfigError(f"ablation requires algorithm = fedpsd, got {cfg.algorithm!r}")
+    if log is not None:
+        log(ABLATION_HEADER)
     rows: list[AblationRow] = []
     baseline_final = 0.0
     for name, rhpk, psd, cll in ABLATION_ROWS:
         row_cfg = replace(cfg, rhpk=rhpk, psd=psd, cll=cll)
-        series = run_experiment(row_cfg)
+        series = (run_experiment(row_cfg) if out_dir is None
+                  else run_to_dir(row_cfg, out_dir, prefix=f"{name}_"))
         final = series.final_avg_client_top1()
         if name == "baseline":
             baseline_final = final
@@ -635,8 +667,6 @@ def run_ablation(cfg: ExperimentConfig, out_dir=None, log=None) -> list[Ablation
         rows.append(row)
         if log is not None:
             log(format_ablation_row(row))
-        if out_dir is not None:
-            emit_metrics(series, Path(out_dir) / f"{name}_metrics.csv")
     if out_dir is not None:
         with csv_writer(Path(out_dir) / "ablation.csv", ABLATION_HEADER) as write_row:
             for row in rows:

@@ -92,9 +92,9 @@ def format_ablation_row(row: AblationRow) -> str:
 def csv_writer(path, header: str):
     """Create the CSV file ``path`` and write ``header``; yield a row writer.
 
-    Every CSV the package writes goes through here. The writer takes
-    one formatted line, appends it with a newline and flushes, so a
-    file being written row by row can be tailed.
+    Every CSV the package writes goes through here (``engine.run_to_dir``,
+    ``engine.run_ablation``). The writer appends one formatted line with
+    a newline and flushes, so a file written row by row can be tailed.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         def write_row(line: str) -> None:
@@ -103,19 +103,6 @@ def csv_writer(path, header: str):
 
         write_row(header)
         yield write_row
-
-
-def emit_metrics(series: MetricsSeries, path) -> None:
-    """Write the per-round CSV: 6-decimal floats, sampled ids ;-joined."""
-    with csv_writer(path, CSV_HEADER) as write_row:
-        for record in series.rounds:
-            write_row(format_round(record))
-
-
-def emit_sweeps(series: MetricsSeries, path) -> None:
-    with csv_writer(path, SWEEP_HEADER) as write_row:
-        for sweep in series.sweeps:
-            write_row(format_sweep(sweep))
 
 
 def _parse_row(line: str) -> RoundRecord:
@@ -137,7 +124,7 @@ def _parse_row(line: str) -> RoundRecord:
 
 
 def load_metrics(path) -> MetricsSeries:
-    """Parse a CSV produced by emit_metrics (sweeps are not stored there).
+    """Parse a metrics.csv written by ``engine.run_to_dir`` (no sweeps).
 
     A row with the wrong field count, a non-numeric field, an accuracy
     that is not finite or lies outside [0, 1], a mean local loss that is

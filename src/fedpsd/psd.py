@@ -45,7 +45,7 @@ def _check_prob_rows(rows: np.ndarray, what: str, shape=None) -> np.ndarray:
     within 1e-9."""
     rows = np.asarray(rows, dtype=np.float64)
     if shape is not None and rows.shape != shape:
-        raise ContractViolation(f"{what} shape {rows.shape} does not match logits {shape}")
+        raise ContractViolation(f"{what} shape {rows.shape} does not match {shape}")
     # Written as "not all good" so that NaN, which fails every
     # comparison, is rejected too.
     if rows.size == 0 or not (
@@ -283,13 +283,13 @@ def local_train_fedpsd(
     ``data.RowView``; it is read one batch, or one ``row_blocks`` block,
     at a time.
 
-    Per call, the inputs, a history's rows included under rhpk, are
-    checked once, and the one-hot rows and log prior are built. Per
-    epoch, the batch order is drawn and the labels, one-hot rows and
-    teacher are gathered in it; both teachers, the epoch-1 history and
-    the later cache, are fused by one expression, alpha * source[order]
-    + (1 - alpha) * one-hot[order] as in ``fuse_labels``, with its
-    ``_neg_entropy``. The psd cache is written in batch order and
+    Per call, the inputs are checked once, a history's shape and rows
+    only under rhpk (nothing else reads it), and the one-hot rows and
+    log prior are built. Per epoch, the batch order is drawn and the
+    labels, one-hot rows and teacher are gathered in it; both teachers,
+    the epoch-1 history and the later cache, are fused by one
+    expression, alpha * source[order] + (1 - alpha) * one-hot[order] as
+    in ``fuse_labels``, with its ``_neg_entropy``. The psd cache is written in batch order and
     scattered back to row order at the epoch's end. Per batch, only the
     feature rows are gathered, the rest is sliced, and only a
     non-finite loss or gradient stops the run.
@@ -322,13 +322,10 @@ def local_train_fedpsd(
     log_prior = None
     if fedpsd and cfg.cll:
         log_prior = np.log(class_prior(labels, num_classes, cfg.prior_epsilon))
-    if history is not None and np.shape(history) != (n, num_classes):
-        raise ContractViolation(
-            f"client {client_id} history shape {np.shape(history)} does not match "
-            f"({n}, {num_classes}); partitions must stay fixed across rounds"
-        )
-    if history is not None:
-        history = _check_prob_rows(history, f"client {client_id} history") if rhpk else None
+    if not rhpk:
+        history = None  # only rhpk reads a history
+    elif history is not None:
+        history = _check_prob_rows(history, f"client {client_id} history", (n, num_classes))
     cache = np.empty((n, num_classes)) if fedpsd and cfg.psd else None
     epoch_cache = None if cache is None else np.empty_like(cache)
     rows = np.arange(min(n, cfg.batch_size))

@@ -19,7 +19,9 @@ from fedpsd.data import (
     partition_sharding,
     synth_generate,
 )
-from fedpsd.engine import aggregate, build_federation, run_ablation, run_experiment, run_round
+from fedpsd.engine import (
+    aggregate, build_federation, run_ablation, run_experiment, run_round, run_to_dir,
+)
 from fedpsd.metrics import rounds_to_target
 from fedpsd.nn import (
     finite_diff_check,
@@ -345,15 +347,10 @@ def test_criterion_9_thread_determinism(tmp_path):
     base = dataclasses.replace(DESK_BASE, t_total=10, num_clients=10, seed=6)
     outputs = {}
     for name, workers in (("one", 1), ("one_again", 1), ("two", 2), ("four", 4)):
-        cfg = dataclasses.replace(base, workers=workers)
-        from fedpsd.metrics import emit_metrics, emit_sweeps
-
-        series = run_experiment(cfg)
-        metrics_path = tmp_path / f"{name}.csv"
-        sweeps_path = tmp_path / f"{name}_sweeps.csv"
-        emit_metrics(series, metrics_path)
-        emit_sweeps(series, sweeps_path)
-        outputs[name] = (metrics_path.read_bytes(), sweeps_path.read_bytes())
+        run_to_dir(dataclasses.replace(base, workers=workers), tmp_path, prefix=f"{name}_")
+        outputs[name] = tuple(
+            (tmp_path / f"{name}_{f}").read_bytes() for f in ("metrics.csv", "sweeps.csv")
+        )
     assert outputs["one"] == outputs["one_again"], "serial re-run differs"
     assert outputs["one"] == outputs["two"], "2-worker run differs from serial"
     assert outputs["one"] == outputs["four"], "4-worker run differs from serial"

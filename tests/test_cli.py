@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour on tiny synthetic runs."""
+import ast
 import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from fedpsd import engine
 from fedpsd.cli import main
 from fedpsd.config import ConfigError, ExperimentConfig, parse_config
 from fedpsd.engine import run_ablation, run_experiment
-from fedpsd.metrics import ABLATION_HEADER, CSV_HEADER, emit_metrics, emit_sweeps, load_metrics
+from fedpsd.metrics import ABLATION_HEADER, CSV_HEADER, load_metrics
 
 # Small enough to train in well under a second per run.
 TINY = """
@@ -80,16 +82,6 @@ class TestRun:
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
         assert (first / "sweeps.csv").read_bytes() == (second / "sweeps.csv").read_bytes()
 
-    def test_streamed_csvs_match_batch_emit(self, tmp_path):
-        cfg_path = _write_config(tmp_path, algorithm="fedpsd")
-        out = tmp_path / "out"
-        assert main(["run", str(cfg_path), "--out", str(out)]) == 0
-        series = run_experiment(parse_config(cfg_path.read_text()))
-        emit_metrics(series, tmp_path / "metrics.csv")
-        emit_sweeps(series, tmp_path / "sweeps.csv")
-        for name in ("metrics.csv", "sweeps.csv"):
-            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
-
     def test_each_row_is_on_disk_before_the_next_round(self, tmp_path, monkeypatch):
         cfg_path = _write_config(tmp_path)
         out = tmp_path / "out"
@@ -144,8 +136,20 @@ class TestAblate:
         names = [line.split(",")[0] for line in table[1:]]
         assert names == ["baseline", "rhpk", "rhpk_psd", "fedpsd"]
         for name in names:
-            assert (out / f"{name}_metrics.csv").exists()
+            for suffix in ("config.txt", "metrics.csv", "sweeps.csv"):
+                assert (out / f"{name}_{suffix}").exists()
         assert table[1].split(",")[5] == "+0.000000"
+        assert capsys.readouterr().out.splitlines() == table
+
+    def test_each_row_config_reproduces_its_csvs(self, tmp_path):
+        cfg_path = _write_config(tmp_path, algorithm="fedpsd")
+        out = tmp_path / "ab"
+        assert main(["ablate", str(cfg_path), "--out", str(out)]) == 0
+        for name, *_ in engine.ABLATION_ROWS:
+            again = tmp_path / name
+            assert main(["run", str(out / f"{name}_config.txt"), "--out", str(again)]) == 0
+            for suffix in ("config.txt", "metrics.csv", "sweeps.csv"):
+                assert (again / suffix).read_bytes() == (out / f"{name}_{suffix}").read_bytes()
 
     def test_baseline_row_is_fedavg_bit_exact(self, tmp_path):
         cfg = parse_config(TINY)
@@ -158,8 +162,12 @@ class TestAblate:
 
     def test_requires_fedpsd(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path, algorithm="fedprox")
-        assert main(["ablate", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
-        assert "fedpsd" in capsys.readouterr().err
+        out = tmp_path / "x"
+        assert main(["ablate", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "ablation requires algorithm = fedpsd" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_run_ablation_rejects_fedavg(self):
         with pytest.raises(ConfigError, match="fedpsd"):
@@ -180,6 +188,20 @@ def test_importing_the_package_loads_no_cli():
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert out.stdout == "[]\n"
+
+
+def test_only_the_run_driver_and_the_ablation_table_call_csv_writer():
+    # One writer: run_to_dir streams a run's metrics.csv and sweeps.csv,
+    # and run_ablation writes its ablation.csv; nothing else in the
+    # package opens a CSV, so the goldens pin the bytes every run writes.
+    callers = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for call in ast.walk(node):
+                func = getattr(call, "func", None)
+                if "csv_writer" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    callers.append(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert sorted(callers) == ["engine.run_ablation", "engine.run_to_dir", "engine.run_to_dir"]
 
 
 class TestSummarize:

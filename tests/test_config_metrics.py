@@ -10,11 +10,13 @@ import fedpsd
 from fedpsd.config import ConfigError, ExperimentConfig, echo_config, parse_config
 from fedpsd.metrics import (
     CSV_HEADER,
+    SWEEP_HEADER,
     MetricsSeries,
     RoundRecord,
     SweepRecord,
-    emit_metrics,
-    emit_sweeps,
+    csv_writer,
+    format_round,
+    format_sweep,
     load_metrics,
     rounds_to_target,
 )
@@ -246,17 +248,24 @@ def _series():
     return MetricsSeries(rounds=rounds, sweeps=[SweepRecord(2, 0.45)])
 
 
+def _write_rounds(path, rounds) -> None:
+    # The rows as engine.run_to_dir streams them.
+    with csv_writer(path, CSV_HEADER) as write_row:
+        for record in rounds:
+            write_row(format_round(record))
+
+
 class TestMetrics:
     def test_emit_single_round(self, tmp_path):
         path = tmp_path / "m.csv"
-        emit_metrics(MetricsSeries(rounds=[RoundRecord(1, 0.5, 0.25, 1.0, (4,))]), path)
+        _write_rounds(path, [RoundRecord(1, 0.5, 0.25, 1.0, (4,))])
         lines = path.read_text().splitlines()
         assert lines == [CSV_HEADER, "1,0.500000,0.250000,1.000000,4"]
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
         series = _series()
-        emit_metrics(series, path)
+        _write_rounds(path, series.rounds)
         back = load_metrics(path)
         assert len(back.rounds) == 3
         for a, b in zip(back.rounds, series.rounds):
@@ -268,13 +277,14 @@ class TestMetrics:
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_metrics(_series(), a)
-        emit_metrics(_series(), b)
+        _write_rounds(a, _series().rounds)
+        _write_rounds(b, _series().rounds)
         assert a.read_bytes() == b.read_bytes()
 
     def test_emit_sweeps(self, tmp_path):
         path = tmp_path / "s.csv"
-        emit_sweeps(_series(), path)
+        with csv_writer(path, SWEEP_HEADER) as write_row:
+            write_row(format_sweep(_series().sweeps[0]))
         assert path.read_text().splitlines() == ["round,all_client_top1", "2,0.450000"]
 
     def test_bad_header_rejected(self, tmp_path):

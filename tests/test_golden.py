@@ -18,8 +18,7 @@ import pytest
 from fedpsd import engine
 from fedpsd.config import ExperimentConfig
 from fedpsd.data import LabeledDataset, save_idx, synth_generate
-from fedpsd.engine import run_experiment
-from fedpsd.metrics import emit_metrics, emit_sweeps
+from fedpsd.engine import run_to_dir
 
 _BASE = dict(
     dataset="synthetic", synth_classes=4, synth_dim=8, synth_per_class=30,
@@ -90,9 +89,8 @@ def _mismatch_report(name: str, directory) -> str:
     )
 
 
-def _assert_matches_golden(name, want, series, directory, blas_build):
-    emit_metrics(series, directory / "metrics.csv")
-    emit_sweeps(series, directory / "sweeps.csv")
+def _assert_matches_golden(name, want, cfg, directory, blas_build):
+    run_to_dir(cfg, directory)  # the writer behind `fedpsd run`
     digest = _digest(directory)
     assert digest == want, (
         f"{name}: sha256 {digest} on {blas_build}\n{_mismatch_report(name, directory)}"
@@ -102,8 +100,8 @@ def _assert_matches_golden(name, want, series, directory, blas_build):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_golden(name, tmp_path, blas_build):
     overrides, want = GOLDEN[name]
-    series = run_experiment(ExperimentConfig(**{**_BASE, **overrides}))
-    _assert_matches_golden(name, want, series, tmp_path, blas_build)
+    cfg = ExperimentConfig(**{**_BASE, **overrides})
+    _assert_matches_golden(name, want, cfg, tmp_path, blas_build)
 
 
 # The same pins for a run that reads its data from IDX files: a seeded
@@ -129,8 +127,7 @@ def _idx_config(directory) -> ExperimentConfig:
 
 
 def test_idx_output_bytes_match_golden(tmp_path, blas_build):
-    series = run_experiment(_idx_config(tmp_path))
-    _assert_matches_golden("idx", IDX_GOLDEN, series, tmp_path, blas_build)
+    _assert_matches_golden("idx", IDX_GOLDEN, _idx_config(tmp_path), tmp_path, blas_build)
 
 
 @pytest.mark.parametrize("name", [*sorted(GOLDEN), "idx"])

@@ -431,6 +431,24 @@ class TestLocalTrainer:
         with pytest.raises(ContractViolation):
             local_train_fedpsd(model, ds.features, ds.labels, history, 0, 1, cfg)
 
+    @pytest.mark.parametrize("history", ["wrong_shape", "nan"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(algorithm="fedavg"), dict(algorithm="fedprox", prox_mu=0.5),
+         dict(algorithm="fedpsd", rhpk=False)],
+        ids=["fedavg", "fedprox", "fedpsd_no_rhpk"],
+    )
+    def test_history_is_not_read_without_rhpk(self, overrides, history):
+        ds = _client_data()
+        model = init_model([8, 6, 4], seed=1)
+        cfg = ExperimentConfig(t_total=10, epochs=2, seed=0, base_lr=0.05, **overrides)
+        given = np.ones((1, 1)) if history == "wrong_shape" else np.full((ds.num_samples, 4), np.nan)
+        p1, h1, l1 = local_train_fedpsd(model, ds.features, ds.labels, given, 0, 1, cfg)
+        p2, h2, l2 = local_train_fedpsd(model, ds.features, ds.labels, None, 0, 1, cfg)
+        assert h1 is h2 is None
+        assert l1 == l2
+        assert p1.flat.tobytes() == p2.flat.tobytes()
+
     def test_history_pass_runs_only_under_rhpk(self, monkeypatch):
         # The post-training forward over the local set builds the history,
         # which only rhpk reads; without rhpk nothing may pay for it.
